@@ -53,7 +53,7 @@ def main() -> int:
                 t = random_rational_target(basis, rng, max_denominator=16)
                 if voronoi_norm(cell, t.coords) > 1:
                     break
-            cfg = SamplerConfig(seed=args.seed, method="rejection")
+            cfg = SamplerConfig(seed=args.seed)
             outcomes = run_crossing_trials(
                 cell, x, t, args.alpha, args.trials, cfg, jobs=args.jobs
             )

@@ -45,8 +45,8 @@ from .sampling import (
     SampleStream,
     SamplerConfig,
     gamma_sample,
-    hit_and_run_uniform,
     laplace_voronoi_sample,
+    uniform_sample,
     uniform_voronoi_rejection,
 )
 from .solver import (

@@ -35,26 +35,104 @@ def _env(name: str, default=None):
     return os.environ.get(ENV_PREFIX + name, default)
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = _env(name)
-    if raw is None:
-        return default
+# ---------------------------------------------------------------------------
+# argument converters: malformed values fail at parse time with exit 2
+
+
+class FlagError(InputError, argparse.ArgumentTypeError):
+    """A malformed flag value; argparse reports its message as given."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports every parse failure as an InputError instead of exiting."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _int_at_least(lo: int):
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise FlagError(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise FlagError(f"must be at least {lo}, got {value}")
+        return value
+
+    return convert
+
+
+def _int_list(text: str) -> list[int]:
     try:
-        return int(raw)
+        return [int(part) for part in text.split(",")]
     except ValueError:
-        raise InputError(f"environment variable {ENV_PREFIX}{name} must be an integer")
+        raise FlagError(f"bad integer list {text!r}") from None
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise FlagError(f"bad rational {text!r}") from None
+
+
+def _rational_list(text: str) -> list[Fraction]:
+    return [_rational(part) for part in text.split(",")]
+
+
+def _alpha(text: str) -> Fraction:
+    alpha = _rational(text)
+    if not 0 < alpha <= 1:
+        raise FlagError(f"must lie in (0, 1], got {text}")
+    return alpha
+
+
+def _pairs_spec(text: str) -> tuple[str, object]:
+    kind, sep, arg = text.partition(":")
+    if sep and kind in ("box", "random"):
+        return kind, _int_at_least(0)(arg)
+    if sep and kind == "file":
+        return kind, arg
+    raise FlagError(f"bad spec {text!r}; expected box:K, random:N or file:PATH")
+
+
+def _output_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise FlagError(f"expected csv or json, got {text!r}")
+    return text
+
+
+#: Flags whose values may begin with '-' (negative rationals), which argparse
+#: would otherwise read as an option; main() passes them as --flag=value.
+_SIGNED_VALUE_FLAGS = ("--target", "--start-coeffs")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    out = []
+    args = iter(argv)
+    for arg in args:
+        if arg in _SIGNED_VALUE_FLAGS:
+            value = next(args, None)
+            if value is not None:
+                arg = f"{arg}={value}"
+        out.append(arg)
+    return out
 
 
 def _common_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=_env_int("SEED", 0))
+    # string defaults pass through the converters, so bad environment values fail too
+    p = _Parser(add_help=False)
+    p.add_argument("--seed", type=int, default=_env("SEED", "0"))
     p.add_argument(
-        "--precision-bits", type=int, default=_env_int("PRECISION_BITS", 128)
+        "--precision-bits",
+        type=_int_at_least(sampling.MIN_PRECISION_BITS),
+        default=_env("PRECISION_BITS", "128"),
     )
-    p.add_argument("--dim-cap", type=int, default=_env_int("DIM_CAP", 14))
+    p.add_argument("--dim-cap", type=_int_at_least(1), default=_env("DIM_CAP", "14"))
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument(
-        "--format", choices=["csv", "json"], default=_env("FORMAT", None)
+        "--format", type=_output_format, default=_env("FORMAT", "csv"), help="csv or json"
     )
     p.add_argument(
         "--check", action="store_true", help="cross-check against the brute-force oracle"
@@ -64,7 +142,7 @@ def _common_parser() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_parser()
-    parser = argparse.ArgumentParser(prog="voronoi-cvp", description=__doc__)
+    parser = _Parser(prog="voronoi-cvp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", parents=[common], help="generate or ingest a basis file")
@@ -86,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", parents=[common], help="closest-vector query")
     s.add_argument("basis")
-    s.add_argument("--target", help="comma-separated rationals, e.g. 3/10,7/10")
+    s.add_argument(
+        "--target", type=_rational_list, help="comma-separated rationals, e.g. 3/10,-7/10"
+    )
     s.add_argument("--target-file", help='JSON file {"t": [...]}')
     s.add_argument(
         "--strategy", choices=list(experiments.STRATEGIES), default="rsl"
@@ -98,21 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
         "crossings", parents=[common], help="crossing-count statistics for the randomized walk"
     )
     c.add_argument("basis")
-    c.add_argument("--trials", type=int, required=True)
-    c.add_argument("--target", help="comma-separated rationals")
+    c.add_argument("--trials", type=_int_at_least(0), required=True)
+    c.add_argument("--target", type=_rational_list, help="comma-separated rationals")
     c.add_argument("--target-file")
     c.add_argument(
         "--start-coeffs",
+        type=_int_list,
         help="comma-separated integer coefficients of the start point (default: rounded target)",
     )
-    c.add_argument("--alpha", default="1/32", help="truncation parameter, a rational in (0,1]")
     c.add_argument(
-        "--sampler",
-        choices=["rejection", "hit_and_run"],
-        default="rejection",
-        help="bound validation assumes exact rejection; hit_and_run is exploratory",
+        "--alpha", type=_alpha, default="1/32", help="truncation parameter, a rational in (0,1]"
     )
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=_int_at_least(1), default=1)
     c.set_defaults(func=cmd_crossings)
 
     d = sub.add_parser(
@@ -121,10 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("basis")
     d.add_argument(
         "--pairs",
+        type=_pairs_spec,
         required=True,
         help="box:K (origin to every point in [-K,K]^n), random:N, or file:PATH",
     )
-    d.add_argument("--cap", type=int, default=8, help="BFS distance cap")
+    d.add_argument("--cap", type=_int_at_least(0), default=8, help="BFS distance cap")
     d.set_defaults(func=cmd_graphdist)
 
     return parser
@@ -134,18 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
 # helpers
 
 
-def _parse_fraction_list(text: str) -> list[Fraction]:
-    try:
-        return [Fraction(part.strip()) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"bad rational list {text!r}: {e}") from None
-
-
 def _load_target(args, n: int) -> Target:
     if args.target and args.target_file:
         raise InputError("give --target or --target-file, not both")
     if args.target:
-        t = Target.of(_parse_fraction_list(args.target))
+        t = Target.of(args.target)
     elif args.target_file:
         t = lattice.read_target(args.target_file)
     else:
@@ -164,10 +235,8 @@ def _emit(args, text: str) -> None:
             sys.stdout.write("\n")
 
 
-def _sampler_config(args, method: str = "auto") -> sampling.SamplerConfig:
-    return sampling.SamplerConfig(
-        seed=args.seed, precision_bits=args.precision_bits, method=method
-    )
+def _sampler_config(args) -> sampling.SamplerConfig:
+    return sampling.SamplerConfig(seed=args.seed, precision_bits=args.precision_bits)
 
 
 def _manifest(args, command: str, params: dict, input_hashes: dict) -> experiments.RunManifest:
@@ -201,8 +270,7 @@ def _load_or_compute_cell(args, basis: LatticeBasis, basis_path: str):
 
 
 def _rows_to_text(args, columns, rows, manifest) -> str:
-    fmt = args.format or "csv"
-    if fmt == "json":
+    if args.format == "json":
         return json.dumps(
             {"manifest": manifest.to_obj(), "records": rows}, indent=1, default=str
         ) + "\n"
@@ -342,21 +410,16 @@ def cmd_solve(args) -> int:
 def cmd_crossings(args) -> int:
     basis = lattice.read_basis(args.basis)
     t = _load_target(args, basis.n)
-    if args.trials < 0:
-        raise InputError("--trials must be nonnegative")
-    alpha = Fraction(args.alpha)
-    if not (0 < alpha <= 1):
-        raise InputError("--alpha must lie in (0, 1]")
+    alpha = args.alpha
     cell = _load_or_compute_cell(args, basis, args.basis)
     pre = solver.preprocess(basis, cell=cell)
     if args.start_coeffs:
-        coeffs = [int(c) for c in args.start_coeffs.split(",")]
-        if len(coeffs) != basis.n:
+        if len(args.start_coeffs) != basis.n:
             raise InputError("start coefficient count does not match the dimension")
-        x = LatticePoint.from_coeffs(basis, coeffs)
+        x = LatticePoint.from_coeffs(basis, args.start_coeffs)
     else:
         x = solver.round_to_start(pre, t)
-    cfg = _sampler_config(args, method=args.sampler)
+    cfg = _sampler_config(args)
     manifest = _manifest(
         args,
         "crossings",
@@ -365,7 +428,6 @@ def cmd_crossings(args) -> int:
             "start": list(x.coeffs),
             "alpha": str(alpha),
             "trials": args.trials,
-            "sampler": args.sampler,
         },
         {"basis": lattice.basis_hash(basis)},
     )
@@ -375,54 +437,46 @@ def cmd_crossings(args) -> int:
     rows = experiments.crossing_rows(
         cell, x, t, alpha, outcomes, args.seed, manifest.stable_hash()
     )
-    for row in rows:
-        row["sampler"] = args.sampler
-    columns = experiments.CROSSING_COLUMNS + ["sampler"]
-    _emit(args, _rows_to_text(args, columns, rows, manifest))
+    _emit(args, _rows_to_text(args, experiments.CROSSING_COLUMNS, rows, manifest))
     _write_manifest_sidecar(args, manifest)
     return 0
 
 
 def _parse_pairs(args, basis: LatticeBasis, cell) -> list[tuple[LatticePoint, LatticePoint]]:
-    spec = args.pairs
+    kind, arg = args.pairs
     n = basis.n
     origin = LatticePoint.origin(n)
-    if spec.startswith("box:"):
-        k = int(spec[4:])
-        if (2 * k + 1) ** n > 200_000:
+    if kind == "box":
+        if (2 * arg + 1) ** n > 200_000:
             raise SizeCapError("pair box too large")
         from itertools import product
 
         pairs = []
-        for coeffs in product(range(-k, k + 1), repeat=n):
+        for coeffs in product(range(-arg, arg + 1), repeat=n):
             if any(coeffs):
                 pairs.append((origin, LatticePoint.from_coeffs(basis, coeffs)))
         return pairs
-    if spec.startswith("random:"):
-        count = int(spec[7:])
+    if kind == "random":
         stream = sampling.SampleStream.from_config(_sampler_config(args), 1)
         pairs = []
-        for _ in range(count):
+        for _ in range(arg):
             a = [int(stream.gen.integers(-3, 4)) for _ in range(n)]
             b = [int(stream.gen.integers(-3, 4)) for _ in range(n)]
             pairs.append(
                 (LatticePoint.from_coeffs(basis, a), LatticePoint.from_coeffs(basis, b))
             )
         return pairs
-    if spec.startswith("file:"):
-        with open(spec[5:]) as f:
-            data = json.load(f)
-        pairs = []
-        for entry in data:
-            a, b = entry
-            pairs.append(
+    with open(arg) as f:
+        try:
+            return [
                 (
                     LatticePoint.from_coeffs(basis, [int(c) for c in a]),
                     LatticePoint.from_coeffs(basis, [int(c) for c in b]),
                 )
-            )
-        return pairs
-    raise InputError(f"bad --pairs spec {spec!r}")
+                for a, b in json.load(f)
+            ]
+        except (TypeError, ValueError) as e:
+            raise InputError(f"bad pairs file {arg}: {e}") from None
 
 
 def cmd_graphdist(args) -> int:
@@ -432,7 +486,7 @@ def cmd_graphdist(args) -> int:
     manifest = _manifest(
         args,
         "graphdist",
-        {"pairs": args.pairs, "cap": args.cap},
+        {"pairs": "%s:%s" % args.pairs, "cap": args.cap},
         {"basis": lattice.basis_hash(basis)},
     )
     rows = experiments.graph_distance_rows(cell, pairs, args.cap, manifest.stable_hash())
@@ -442,9 +496,9 @@ def cmd_graphdist(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = build_parser().parse_args(_attach_signed_values(argv))
         return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

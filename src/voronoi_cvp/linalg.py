@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -53,7 +54,7 @@ def norm_sq(u: Sequence[Fraction]) -> Fraction:
 
 
 def dot_int(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def lcm(a: int, b: int) -> int:

@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import ContractViolation, TieDetected
 from .lattice import LatticePoint, Target
-from .linalg import Vec
 from .voronoi import RelevantVector, VoronoiCellData, membership, voronoi_norm
 
 PHASE_SHIFTED = "B"  # along the shifted segment [x+Z, t+Z]
@@ -34,20 +33,16 @@ HARD_STEP_LIMIT = 1_000_000
 
 @dataclass(frozen=True)
 class CrossingEvent:
-    """One facet crossing: exit time, exit point, and the edge taken."""
+    """One facet crossing: exit time alpha on the followed segment and the edge taken.
+
+    The exit point is a + alpha (b - a) for the segment [a, b]; consecutive
+    events share their `after` and `before` objects.
+    """
 
     alpha: Fraction
     edge: RelevantVector
     before: LatticePoint
     after: LatticePoint
-    point: Vec
-    phase: str
-
-
-@dataclass(frozen=True)
-class PerturbedSegment:
-    a: Vec
-    b: Vec
     phase: str
 
 
@@ -56,7 +51,6 @@ class PathTrace:
     start: LatticePoint
     final: LatticePoint
     events: tuple[CrossingEvent, ...]
-    segments: tuple[PerturbedSegment, ...]
 
     @property
     def edges(self) -> tuple[RelevantVector, ...]:
@@ -128,6 +122,7 @@ def line_follow(
 
     d_int, dd = linalg.scaled_ints(linalg.sub(b, a))
     coeffs = list(z.coeffs)
+    here = z
     events: list[CrossingEvent] = []
 
     # candidate exit facets: indices with positive direction component
@@ -137,7 +132,6 @@ def line_follow(
         if q > 0:
             cand.append((idx, v_int, q, linalg.dot_int(v_int, a_int)))
 
-    direction = linalg.sub(b, a)
     steps = 0
     while cand:
         best: list[tuple] = []
@@ -160,38 +154,34 @@ def line_follow(
                 raise TieDetected(tied, alpha, steps)
             best.sort(key=lambda item: cell.vectors[item[0]].coeffs)
         if max_edges is not None and steps >= max_edges:
-            raise _EdgeBudget(_point_from_scaled(tuple(coeffs), w_int, den), events)
+            raise _EdgeBudget(here, events)
         idx, v_int, q, p = best[0]
         edge = cell.vectors[idx]
-        alpha = Fraction(p * dd, 2 * den * da * q)
-        before = _point_from_scaled(tuple(coeffs), w_int, den)
         for i in range(len(w_int)):
             w_int[i] += v_int[i]
             coeffs[i] += edge.coeffs[i]
         after = _point_from_scaled(tuple(coeffs), w_int, den)
-        point = tuple(x + alpha * dxi for x, dxi in zip(a, direction))
         events.append(
             CrossingEvent(
-                alpha=alpha, edge=edge, before=before, after=after, point=point, phase=phase
+                alpha=Fraction(p * dd, 2 * den * da * q),
+                edge=edge,
+                before=here,
+                after=after,
+                phase=phase,
             )
         )
+        here = after
         steps += 1
         if steps > HARD_STEP_LIMIT:
             raise ContractViolation("line_follow exceeded the hard step limit")
 
-    w = _point_from_scaled(tuple(coeffs), w_int, den)
+    w = here
     # postcondition: b lies in the cell of w
     b_int, db = linalg.scaled_ints(b)
     rel_b = tuple(bi * den - wi * db for bi, wi in zip(b_int, w_int))
     if not cell.membership_scaled(rel_b, db * den):
         raise ContractViolation("line_follow ended outside the target cell")
-    trace = PathTrace(
-        start=z,
-        final=w,
-        events=tuple(events),
-        segments=(PerturbedSegment(a=a, b=b, phase=phase),),
-    )
-    return w, trace
+    return w, PathTrace(start=z, final=w, events=tuple(events))
 
 
 def iterative_slicer(
@@ -239,16 +229,12 @@ def iterative_slicer(
 
 
 def _empty_trace(x: LatticePoint) -> PathTrace:
-    return PathTrace(start=x, final=x, events=(), segments=())
+    return PathTrace(start=x, final=x, events=())
 
 
 def _merge_traces(start: LatticePoint, final: LatticePoint, parts: Sequence[PathTrace]) -> PathTrace:
-    events: list[CrossingEvent] = []
-    segments: list[PerturbedSegment] = []
-    for p in parts:
-        events.extend(p.events)
-        segments.extend(p.segments)
-    return PathTrace(start=start, final=final, events=tuple(events), segments=tuple(segments))
+    events = tuple(e for p in parts for e in p.events)
+    return PathTrace(start=start, final=final, events=events)
 
 
 def mv_walk(
@@ -319,24 +305,14 @@ def randomized_straight_line(
             cell, a1, b1, x, phase=PHASE_SHIFTED, tie_break=tie_break, max_edges=max_edges
         )
     except _EdgeBudget as eb:
-        return TRUNCATED, PathTrace(
-            start=x,
-            final=eb.w,
-            events=tuple(eb.events),
-            segments=(PerturbedSegment(a=a1, b=b1, phase=PHASE_SHIFTED),),
-        )
+        return TRUNCATED, PathTrace(start=x, final=eb.w, events=tuple(eb.events))
     remaining = None if max_edges is None else max_edges - len(tr1.events)
     try:
         w2, tr2 = line_follow(
             cell, b1, b2, w1, phase=PHASE_DESCENT, tie_break=tie_break, max_edges=remaining
         )
     except _EdgeBudget as eb:
-        partial = PathTrace(
-            start=w1,
-            final=eb.w,
-            events=tuple(eb.events),
-            segments=(PerturbedSegment(a=b1, b=b2, phase=PHASE_DESCENT),),
-        )
+        partial = PathTrace(start=w1, final=eb.w, events=tuple(eb.events))
         return TRUNCATED, _merge_traces(x, eb.w, [tr1, partial])
     return w2, _merge_traces(x, w2, [tr1, tr2])
 

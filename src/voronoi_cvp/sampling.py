@@ -1,9 +1,23 @@
 """Random generation: uniform cell samples, Gamma and cell-Laplace draws.
 
-Geometry stays exact: uniform samplers emit dyadic-rational points (a fixed
-number of fractional bits) and every emitted point passes the exact cell
-membership test.  Floating point is confined to the scalar distributions
-(Gamma radial factors, hit-and-run directions).
+Uniform cell samples come from torus reduction.  A point x = B a with
+dyadic coefficients a_j = (k_j - 2^(b-1)) / 2^b, b = `precision_bits`, is
+uniform over the classes of the grid 2^-b L modulo L (the k_j run over all
+residues mod 2^b, so every class is hit once).  The iterative slicer then
+maps x to x - y with y a closest lattice vector, the representative of the
+class in the closed cell.  So the draw is uniform over the grid points of
+the cell, the same exactness an exact rejection sampler has, and it lies in
+the cell by the slicer's stopping rule.  The centred box keeps the slicer's
+start within Babai distance of the answer.
+
+Caveat: the paper's polynomial-time bound rests on a random-walk sampler.
+Torus reduction costs one slicer descent, which is fast in practice but has
+no polynomial bound in theory.  The rejection sampler stays as the small-n
+reference the tests compare against.
+
+Geometry stays exact: emitted points are dyadic-rational combinations of
+the basis.  Floating point is confined to the scalar distributions (Gamma
+radial factors).
 
 Randomness comes from numpy's PCG64; independent streams are derived from
 one 64-bit seed via SeedSequence spawn keys, so experiments are reproducible
@@ -15,42 +29,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import linalg
 from .errors import ContractViolation, SizeCapError
+from .lattice import LatticePoint, Target
 from .linalg import Vec
+from .navigation import iterative_slicer
 from .voronoi import VoronoiCellData
+
+
+MIN_PRECISION_BITS = 32
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
     """Sampling knobs shared across the package.
 
-    `precision_bits` is both the dyadic grid resolution of emitted points
-    and the bisection depth for hit-and-run chord endpoints.  `tv_epsilon`
-    is the target total-variation distance from uniform (the solver only
-    needs 1/4).  With method "auto", exact rejection is used up to
-    `rejection_dim_max` and hit-and-run above.
+    `precision_bits` is the dyadic grid resolution of emitted points;
+    `rejection_attempt_cap` bounds the reference rejection sampler.
     """
 
     seed: int = 0
     precision_bits: int = 128
-    method: str = "auto"
-    hit_and_run_steps: Optional[int] = None
-    tv_epsilon: float = 0.25
     rejection_attempt_cap: int = 200_000
-    rejection_dim_max: int = 6
 
     def __post_init__(self):
-        if self.precision_bits < 32:
-            raise ContractViolation("precision_bits must be at least 32")
-        if not (0 < self.tv_epsilon < 1):
-            raise ContractViolation("tv_epsilon must lie in (0, 1)")
-        if self.method not in ("auto", "rejection", "hit_and_run"):
-            raise ContractViolation(f"unknown sampling method {self.method!r}")
+        if self.precision_bits < MIN_PRECISION_BITS:
+            raise ContractViolation(f"precision_bits must be at least {MIN_PRECISION_BITS}")
 
 
 class SampleStream:
@@ -78,15 +86,8 @@ class SampleStream:
             val = (val << 64) | int(w)
         return val & ((1 << k) - 1)
 
-    def unit_fraction(self, bits: int) -> Fraction:
-        """Dyadic uniform draw from [0, 1)."""
-        return Fraction(self.getrandbits(bits), 1 << bits)
-
     def exponential_sum(self, k: int) -> float:
         return float(self.gen.standard_exponential(k).sum())
-
-    def gauss_vec(self, n: int) -> list[float]:
-        return [float(g) for g in self.gen.standard_normal(n)]
 
 
 def stream_for(cfg: SamplerConfig, *path: int) -> SampleStream:
@@ -100,9 +101,8 @@ def uniform_voronoi_rejection(
 
     Proposals are uniform over the bounding box [-R, R]^n from the outer
     sandwich radius; each proposal is membership-tested exactly.  Feasible
-    while the cell volume is a workable fraction of the box volume, which
-    is why the default method switches away from rejection in higher
-    dimension.
+    only while the cell volume is a workable fraction of the box volume, so
+    it serves as the small-n reference for `uniform_sample`.
     """
     stream = stream or SampleStream.from_config(cfg)
     n = cell.n
@@ -117,98 +117,26 @@ def uniform_voronoi_rejection(
         if cell.membership_scaled(x_int, dx):
             return tuple(Fraction(xi, dx) for xi in x_int)
     raise SizeCapError(
-        "rejection sampler exceeded its attempt cap; use method='hit_and_run'"
+        "rejection sampler exceeded its attempt cap; use uniform_sample (torus reduction)"
     )
-
-
-def default_hit_and_run_steps(cell: VoronoiCellData, cfg: SamplerConfig) -> int:
-    """Step budget polynomial in (n, log(R/r), log(1/eps))."""
-    n = cell.n
-    ratio_sq = cell.outer_radius_sq / cell.inner_radius_sq
-    log_ratio = max(1, (ratio_sq.numerator // ratio_sq.denominator).bit_length() // 2)
-    log_eps = max(1, int(np.ceil(np.log2(1.0 / cfg.tv_epsilon))))
-    return 8 * n * (n + log_ratio + log_eps)
-
-
-def hit_and_run_uniform(
-    cell: VoronoiCellData, cfg: SamplerConfig, stream: Optional[SampleStream] = None
-) -> Vec:
-    """Approximately uniform cell sample by the hit-and-run walk.
-
-    Starts at the center of symmetry.  Each step draws a random direction,
-    locates the chord endpoints by bisecting the exact membership predicate
-    to `precision_bits`, and moves to a uniform dyadic point strictly inside
-    the bracketing interval, so every iterate is a certified member.  Budget
-    controls quality, never validity.
-    """
-    stream = stream or SampleStream.from_config(cfg)
-    n = cell.n
-    steps = cfg.hit_and_run_steps or default_hit_and_run_steps(cell, cfg)
-    den = cell._den
-    x: Vec = linalg.zeros(n)
-    x_int: Sequence[int] = (0,) * n
-    dx = 1
-    snap_bits = cfg.precision_bits + 16
-    for _ in range(steps):
-        d = [Fraction(g) for g in stream.gauss_vec(n)]
-        if not any(d):
-            continue
-        d_int, dd = linalg.scaled_ints(d)
-        dots_x = [linalg.dot_int(w, x_int) for w in cell._vr_int]
-        dots_d = [linalg.dot_int(w, d_int) for w in cell._vr_int]
-
-        def on_chord(s: Fraction) -> bool:
-            sp, sq = s.numerator, s.denominator
-            lhs_a = 2 * den * dd * sq
-            lhs_b = 2 * den * dx * sp
-            rhs = dx * dd * sq
-            for av, bv, nv in zip(dots_x, dots_d, cell._norm_int):
-                if lhs_a * av + lhs_b * bv > nv * rhs:
-                    return False
-            return True
-
-        ends = []
-        for sign in (1, -1):
-            s_in, s_out = Fraction(0), Fraction(sign)
-            guard = 0
-            while on_chord(s_out):
-                s_in, s_out = s_out, 2 * s_out
-                guard += 1
-                if guard > 128:
-                    raise ContractViolation("unbounded chord: cell is not bounded")
-            for _ in range(cfg.precision_bits):
-                mid = (s_in + s_out) / 2
-                if on_chord(mid):
-                    s_in = mid
-                else:
-                    s_out = mid
-            ends.append(s_in)
-        hi, lo = ends
-        u = stream.unit_fraction(cfg.precision_bits)
-        s_pt = lo + u * (hi - lo)
-        moved = tuple(xi + s_pt * di for xi, di in zip(x, d))
-        # snap to the dyadic grid when that stays inside, to cap coordinate growth
-        g = 1 << snap_bits
-        snapped = tuple(Fraction(round(xi * g), g) for xi in moved)
-        s_int, sdx = linalg.scaled_ints(snapped)
-        if cell.membership_scaled(s_int, sdx):
-            x, x_int, dx = snapped, s_int, sdx
-        else:
-            x = moved
-            x_int, dx = linalg.scaled_ints(x)
-    return x
 
 
 def uniform_sample(
     cell: VoronoiCellData, cfg: SamplerConfig, stream: Optional[SampleStream] = None
 ) -> Vec:
-    """Uniform cell sample via the configured method ("auto" picks by dimension)."""
-    method = cfg.method
-    if method == "auto":
-        method = "rejection" if cell.n <= cfg.rejection_dim_max else "hit_and_run"
-    if method == "rejection":
-        return uniform_voronoi_rejection(cell, cfg, stream)
-    return hit_and_run_uniform(cell, cfg, stream)
+    """Uniform cell sample (up to the dyadic grid) by torus reduction.
+
+    Draws x = B a with dyadic coefficients a_j in [-1/2, 1/2) and returns
+    x - y, where y is the iterative slicer's closest vector to x.
+    """
+    stream = stream or SampleStream.from_config(cfg)
+    bits = cfg.precision_bits
+    half = 1 << (bits - 1)
+    k = [stream.getrandbits(bits) - half for _ in range(cell.n)]
+    dx = cell._den << bits
+    x = tuple(Fraction(linalg.dot_int(row, k), dx) for row in cell._basis_rows_int)
+    y, _ = iterative_slicer(cell, Target(x), LatticePoint.origin(cell.n))
+    return linalg.sub(x, y.ambient)
 
 
 # ---------------------------------------------------------------------------

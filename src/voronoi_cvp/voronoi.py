@@ -64,6 +64,10 @@ class VoronoiCellData:
         init=False, repr=False, compare=False, default=()
     )
     _norm_int: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    # rows of den * B, so den * (B a) = (<row, a> for each row)
+    _basis_rows_int: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
 
     def __post_init__(self):
         den = self.basis.denominator_lcm
@@ -71,9 +75,11 @@ class VoronoiCellData:
             linalg.scale_exact(v.ambient, den) for v in self.vectors
         )
         norm_int = tuple(linalg.dot_int(w, w) for w in vr_int)
+        rows_int = tuple(linalg.scale_exact(r, den) for r in self.basis.rows())
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_vr_int", vr_int)
         object.__setattr__(self, "_norm_int", norm_int)
+        object.__setattr__(self, "_basis_rows_int", rows_int)
 
     @property
     def n(self) -> int:

@@ -54,5 +54,12 @@ def rand_lattices():
 
 
 @pytest.fixture(scope="session")
+def high_dim_cells():
+    """Fixed random rational lattices (seeded) at n = 6 and 7, keyed by n."""
+    rng = make_rng(20261018)
+    return {n: compute_relevant_vectors(random_rational_basis(n, rng)) for n in (6, 7)}
+
+
+@pytest.fixture(scope="session")
 def z2_pre():
     return preprocess(LatticeBasis.identity(2))

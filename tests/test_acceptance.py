@@ -198,7 +198,7 @@ def test_criterion_3_phase_b_bound(dim4_instances):
                     t = random_rational_target(basis, rng, max_denominator=8)
                     if voronoi_norm(cell, t.coords) > 1:
                         break
-            cfg = SamplerConfig(seed=300_000 + idx, method="rejection")
+            cfg = SamplerConfig(seed=300_000 + idx)
             outcomes = run_crossing_trials(cell, x, t, F(1, 32), 1000, cfg)
             s = summarize_crossings(
                 outcomes, phase_b_bound(cell, x, t), phase_c_bound(n, F(1, 32))
@@ -222,7 +222,7 @@ def test_criterion_4_phase_c_bound(dim4_instances):
                 if voronoi_norm(cell, t.coords) > 1:
                     break
             for ai, alpha in enumerate((F(1, 32), F(1, 1024))):
-                cfg = SamplerConfig(seed=400_000 + 10 * idx + ai, method="rejection")
+                cfg = SamplerConfig(seed=400_000 + 10 * idx + ai)
                 outcomes = run_crossing_trials(cell, x, t, alpha, 1000, cfg)
                 s = summarize_crossings(
                     outcomes, phase_b_bound(cell, x, t), phase_c_bound(n, alpha)

@@ -187,7 +187,6 @@ def test_crossings_rows_and_reproducibility(tmp_path, capsys):
     assert all(r["manifest_hash"] == rows[0]["manifest_hash"] for r in rows)
     # bound fields come from the exact run quantities: ||t -x||_V = 3 here
     assert rows[0]["bound_b"] == "3"
-    assert rows[0]["sampler"] == "rejection"
 
 
 def test_crossings_verdict_recomputable_from_rows(tmp_path, capsys):
@@ -334,3 +333,63 @@ def test_solve_uses_cache_when_present(tmp_path, capsys):
     res = json.loads(out)
     assert res["certified"] is True
     assert res["y_coeffs"] in ([0, 0], [1, 0], [0, 1], [1, 1])
+
+
+MALFORMED = {
+    "start-coeffs": ["crossings", "--trials", "2", "--target", "1/2,1/3", "--start-coeffs", "a,b"],
+    "alpha": ["crossings", "--trials", "2", "--target", "1/2,1/3", "--alpha", "x"],
+    "alpha-range": ["crossings", "--trials", "2", "--target", "1/2,1/3", "--alpha", "2"],
+    "trials": ["crossings", "--trials", "-1", "--target", "1/2,1/3"],
+    "jobs": ["crossings", "--trials", "2", "--target", "1/2,1/3", "--jobs", "0"],
+    "pairs-box": ["graphdist", "--pairs", "box:z"],
+    "pairs-kind": ["graphdist", "--pairs", "grid:2"],
+    "cap": ["graphdist", "--pairs", "box:1", "--cap", "x"],
+    "precision-bits": ["solve", "--target", "1/2,1/3", "--precision-bits", "8"],
+    "target": ["solve", "--target", "1/2,x"],
+    "target-zero-den": ["solve", "--target", "1/0,1"],
+    "target-missing": ["solve", "--target"],
+    "seed": ["solve", "--target", "1/2,1/3", "--seed", "x"],
+    "dim-cap": ["solve", "--target", "1/2,1/3", "--dim-cap", "0"],
+    "strategy": ["solve", "--target", "1/2,1/3", "--strategy", "bogus"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_flag_is_input_error(tmp_path, capsys, case):
+    path = write_z2(tmp_path, capsys)
+    command, *flags = MALFORMED[case]
+    code, out, err = run_cli(capsys, command, str(path), *flags)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("name,value", [("PRECISION_BITS", "8"), ("FORMAT", "xml")])
+def test_malformed_env_value_is_input_error(tmp_path, capsys, monkeypatch, name, value):
+    path = write_z2(tmp_path, capsys)
+    monkeypatch.setenv("VORONOI_CVP_" + name, value)
+    code, _, err = run_cli(capsys, "crossings", str(path), "--trials", "1", "--target", "1/2,1/3")
+    assert code == 2 and name.lower().replace("_", "-") in err
+
+
+def test_malformed_pairs_file_is_input_error(tmp_path, capsys):
+    path = write_z2(tmp_path, capsys)
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text("[[1, 2]]")
+    code, _, err = run_cli(capsys, "graphdist", str(path), "--pairs", f"file:{pairs}")
+    assert code == 2 and "pairs file" in err
+
+
+def test_negative_rational_flag_values(tmp_path, capsys):
+    path = write_z2(tmp_path, capsys)
+    code, out, _ = run_cli(capsys, "solve", str(path), "--target", "-1/2,1/3", "--check")
+    assert code == 0
+    res = json.loads(out)
+    assert res["certified"] is True and res["oracle-match"] is True
+    code, out, _ = run_cli(
+        capsys, "crossings", str(path), "--trials", "2", "--target", "-3/2,1/3",
+        "--start-coeffs", "-1,0",
+    )
+    assert code == 0
+    rows = strip_wall_clock(out)
+    assert rows[0]["target"] == "-3/2,1/3" and rows[0]["start"] == "-1,0"

@@ -32,14 +32,16 @@ F = Fraction
 
 def test_line_follow_two_crossings(z2_cell):
     z = LatticePoint.origin(2)
-    w, tr = line_follow(z2_cell, (F(1, 10), F(1, 10)), (F(21, 10), F(1, 10)), z)
+    a, b = (F(1, 10), F(1, 10)), (F(21, 10), F(1, 10))
+    w, tr = line_follow(z2_cell, a, b, z)
     assert w.coeffs == (2, 0)
     assert [e.edge.coeffs for e in tr.events] == [(1, 0), (1, 0)]
     assert [e.alpha for e in tr.events] == [F(1, 5), F(7, 10)]
-    # crossing points sit exactly on the facets they exit
+    # crossing points a + alpha (b - a) sit exactly on the facets they exit
     for e in tr.events:
+        point = [ai + e.alpha * (bi - ai) for ai, bi in zip(a, b)]
         lhs = sum(
-            ve * (pe - we) for ve, pe, we in zip(e.edge.ambient, e.point, e.before.ambient)
+            ve * (pe - we) for ve, pe, we in zip(e.edge.ambient, point, e.before.ambient)
         )
         assert lhs == e.edge.half_norm_sq
 

@@ -10,9 +10,9 @@ from voronoi_cvp import (
     SamplerConfig,
     SizeCapError,
     gamma_sample,
-    hit_and_run_uniform,
     laplace_voronoi_sample,
     membership,
+    uniform_sample,
     uniform_voronoi_rejection,
     voronoi_norm,
 )
@@ -20,7 +20,6 @@ from voronoi_cvp.sampling import (
     gamma_factor_for_dimension,
     stream_for,
     theta_for_dimension,
-    uniform_sample,
 )
 from voronoi_cvp.linalg import sub, vec
 
@@ -37,10 +36,6 @@ def mean_se(values):
 def test_config_validation():
     with pytest.raises(ContractViolation):
         SamplerConfig(precision_bits=8)
-    with pytest.raises(ContractViolation):
-        SamplerConfig(tv_epsilon=0.0)
-    with pytest.raises(ContractViolation):
-        SamplerConfig(method="bogus")
 
 
 def test_rejection_membership_and_symmetry(z2_cell):
@@ -73,43 +68,49 @@ def test_rejection_attempt_cap(z2_cell):
             uniform_voronoi_rejection(z2_cell, cfg, stream_for(cfg, i))
 
 
-def test_sampler_determinism(z2_cell):
+def test_sampler_determinism(z2_cell, rand_lattices):
     cfg = SamplerConfig(seed=99)
-    a = uniform_voronoi_rejection(z2_cell, cfg, stream_for(cfg, 5))
-    b = uniform_voronoi_rejection(z2_cell, cfg, stream_for(cfg, 5))
-    c = uniform_voronoi_rejection(z2_cell, cfg, stream_for(cfg, 6))
-    assert a == b
-    assert a != c
+    for sampler, cell in (
+        (uniform_voronoi_rejection, z2_cell),
+        (uniform_sample, rand_lattices[3][1]),
+    ):
+        a = sampler(cell, cfg, stream_for(cfg, 5))
+        b = sampler(cell, cfg, stream_for(cfg, 5))
+        c = sampler(cell, cfg, stream_for(cfg, 6))
+        assert a == b
+        assert a != c
 
 
-def test_hit_and_run_membership_and_agreement(z2_cell):
-    cfg = SamplerConfig(seed=21, precision_bits=48, hit_and_run_steps=60)
-    hr_stream = stream_for(cfg, 0)
-    hr = [hit_and_run_uniform(z2_cell, cfg, hr_stream) for _ in range(150)]
-    assert all(membership(z2_cell, p) for p in hr)
-
-    rej_stream = stream_for(cfg, 1)
-    rej = [uniform_voronoi_rejection(z2_cell, cfg, rej_stream) for _ in range(300)]
-
-    # per-coordinate two-sample KS against the exact sampler
-    for i in range(2):
+def test_torus_matches_rejection(skew2_cell, rand_lattices):
+    # two-sample KS of torus reduction against exact rejection, n <= 4:
+    # per coordinate and on the cell norm
+    cfg = SamplerConfig(seed=21)
+    cells = [skew2_cell] + [cell for _, cell in rand_lattices]
+    for ci, cell in enumerate(cells):
+        torus_stream = stream_for(cfg, ci, 0)
+        torus = [uniform_sample(cell, cfg, torus_stream) for _ in range(400)]
+        assert all(membership(cell, p) for p in torus)
+        rej_stream = stream_for(cfg, ci, 1)
+        rej = [uniform_voronoi_rejection(cell, cfg, rej_stream) for _ in range(400)]
+        for i in range(cell.n):
+            res = scipy_stats.ks_2samp([float(p[i]) for p in torus], [float(p[i]) for p in rej])
+            assert res.pvalue > 1e-3, (ci, i)
         res = scipy_stats.ks_2samp(
-            [float(p[i]) for p in hr], [float(p[i]) for p in rej]
+            [float(voronoi_norm(cell, p)) for p in torus],
+            [float(voronoi_norm(cell, p)) for p in rej],
         )
-        assert res.pvalue > 1e-3
-
-    m_hr, se_hr = mean_se([float(voronoi_norm(z2_cell, p)) for p in hr])
-    m_rj, se_rj = mean_se([float(voronoi_norm(z2_cell, p)) for p in rej])
-    assert abs(m_hr - m_rj) <= 3 * math.hypot(se_hr, se_rj)
+        assert res.pvalue > 1e-3, (ci, "norm")
 
 
-def test_uniform_sample_dispatch(z2_cell):
-    cfg = SamplerConfig(seed=31, rejection_dim_max=1, hit_and_run_steps=8, precision_bits=48)
-    p = uniform_sample(z2_cell, cfg, stream_for(cfg, 0))  # auto -> hit_and_run
-    assert membership(z2_cell, p)
-    cfg2 = SamplerConfig(seed=31, method="rejection")
-    p2 = uniform_sample(z2_cell, cfg2, stream_for(cfg2, 0))
-    assert membership(z2_cell, p2)
+def test_torus_mean_cell_norm_high_dimension(high_dim_cells):
+    # uniform on the cell: E ||Z||_V = n/(n+1), also where rejection is infeasible
+    cfg = SamplerConfig(seed=22)
+    for n, cell in high_dim_cells.items():
+        stream = stream_for(cfg, n)
+        samples = [uniform_sample(cell, cfg, stream) for _ in range(300)]
+        assert all(membership(cell, p) for p in samples)
+        m, se = mean_se([float(voronoi_norm(cell, p)) for p in samples])
+        assert abs(m - n / (n + 1)) <= 4 * se, (n, m, se)
 
 
 def test_gamma_moments():

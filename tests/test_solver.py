@@ -126,6 +126,15 @@ def test_query_matches_oracle_small_corpus(rand_lattices):
             assert res.phase_b + res.phase_c <= res.edges_total
 
 
+def test_query_certified_at_dimension_seven(high_dim_cells):
+    cell = high_dim_cells[7]
+    pre = preprocess(cell.basis, cell=cell)
+    t = random_rational_target(cell.basis, make_rng(64))
+    res = query(pre, t, SamplerConfig(seed=405))
+    assert res.certified and certify(pre, t, res.point)
+    assert norm_sq(sub(t.coords, res.point.ambient)) == cvp_bruteforce(cell.basis, t).dist_sq
+
+
 def test_query_deterministic_given_seed(z2_pre):
     cfg = SamplerConfig(seed=7)
     t = Target.of([F(13, 10), F(-7, 5)])
