@@ -7,6 +7,8 @@ algorithm whose answers are always certified exactly.  Brute-force oracles
 and crossing-count experiments validate the walk's guarantees.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     ContractViolation,
     InputError,
@@ -67,5 +69,3 @@ from .voronoi import (
     sandwich_radii,
     voronoi_norm,
 )
-
-__version__ = "0.1.0"

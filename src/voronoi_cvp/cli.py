@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import experiments, lattice, sampling, solver, voronoi
+from . import experiments, lattice, linalg, sampling, solver, voronoi
 from .errors import (
     ContractViolation,
     InputError,
@@ -264,8 +264,8 @@ def _load_or_compute_cell(args, basis: LatticeBasis, basis_path: str):
     if cache.exists():
         try:
             return voronoi.load_cell(cache, basis)
-        except InputError:
-            pass  # stale cache: recompute below
+        except InputError as e:
+            print(f"warning: ignoring relevant-vector cache {cache}: {e}", file=sys.stderr)
     return voronoi.compute_relevant_vectors(basis, dim_cap=args.dim_cap)
 
 
@@ -373,6 +373,7 @@ def cmd_solve(args) -> int:
     pre = solver.preprocess(basis, cell=cell)
     cfg = _sampler_config(args)
     result = experiments.solve_with_strategy(pre, t, args.strategy, cfg)
+    dist_sq = linalg.norm_sq(linalg.sub(t.coords, result.point.ambient))
     manifest = _manifest(
         args,
         "solve",
@@ -380,10 +381,10 @@ def cmd_solve(args) -> int:
         {"basis": lattice.basis_hash(basis)},
     )
     out = {
-        "strategy": result.strategy,
+        "strategy": args.strategy,
         "y_coeffs": list(result.point.coeffs),
         "y": [str(c) for c in result.point.ambient],
-        "dist_sq": str(result.dist_sq),
+        "dist_sq": str(dist_sq),
         "certified": result.certified,
         "restarts": result.restarts,
         "edges": result.edges_total,
@@ -399,7 +400,7 @@ def cmd_solve(args) -> int:
         out["alpha"] = str(solver.make_query_params(pre, t).alpha)
     if args.check:
         oracle = cvp_bruteforce(basis, t)
-        out["oracle-match"] = oracle.dist_sq == result.dist_sq
+        out["oracle-match"] = oracle.dist_sq == dist_sq
         out["oracle_dist_sq"] = str(oracle.dist_sq)
     if args.trace_out and result.trace is not None:
         write_trace_jsonl(result.trace, args.trace_out)

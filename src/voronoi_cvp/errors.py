@@ -34,4 +34,4 @@ class TieDetected(RuntimeError):
 
 
 class RestartLimitExceeded(RuntimeError):
-    """The solver hit its global restart cap without a certified answer."""
+    """The Las Vegas attempt loop ran out of attempts without an answer."""

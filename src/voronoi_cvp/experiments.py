@@ -16,30 +16,39 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import exp, log, sqrt
-from typing import Optional, Sequence
+from typing import Sequence
 
-from . import linalg
-from .errors import InputError, TieDetected
+from . import __version__, linalg
+from .errors import InputError, RestartLimitExceeded
 from .lattice import LatticePoint, Target, basis_hash, canonical_json
 from .navigation import (
     count_crossings,
     iterative_slicer,
     line_follow,
     mv_walk,
-    randomized_straight_line,
 )
 from .oracles import graph_distance_bfs
-from .sampling import SamplerConfig, stream_for, uniform_sample
-from .solver import PreprocessedLattice, certify, query, round_to_start
+from .sampling import SamplerConfig, stream_for
+from .solver import (
+    RESTART_CAP,
+    PreprocessedLattice,
+    SolveResult,
+    certify,
+    query,
+    round_to_start,
+    walks,
+)
 from .voronoi import VoronoiCellData, voronoi_norm
+
+# Not called here: perfbench/tracing.py looks both names up on this module,
+# so they must stay importable from it.
+from .navigation import randomized_straight_line  # noqa: F401
+from .sampling import uniform_sample  # noqa: F401
 
 #: Constant in the descent-phase crossing bound.
 PHASE_C_CONSTANT = exp(2.0) / (sqrt(2.0) - 1.0)
 
 TOOL_NAME = "voronoi-cvp"
-TOOL_VERSION = "0.1.0"
-
-MAX_TIE_RESAMPLES = 32
 
 
 def phase_b_bound(cell: VoronoiCellData, x: LatticePoint, t: Target) -> Fraction:
@@ -66,7 +75,7 @@ class RunManifest:
     seed: int
     precision_bits: int
     tool: str = TOOL_NAME
-    version: str = TOOL_VERSION
+    version: str = __version__
     timestamp: str = field(
         default_factory=lambda: datetime.now(timezone.utc).isoformat()
     )
@@ -117,21 +126,18 @@ def _run_single_trial(
     trial: int,
 ) -> TrialOutcome:
     start = time.perf_counter()
-    for resample in range(MAX_TIE_RESAMPLES):
-        z = uniform_sample(cell, cfg, stream_for(cfg, trial, resample))
-        try:
-            _, trace = randomized_straight_line(cell, x, t, z, alpha)
-        except TieDetected:
-            continue
-        b, c = count_crossings(trace)
-        return TrialOutcome(
-            trial=trial,
-            phase_b=b,
-            phase_c=c,
-            resamples=resample,
-            wall_clock=time.perf_counter() - start,
-        )
-    raise TieDetected([], Fraction(0), trial)  # overwhelmingly improbable
+    walk = next(walks(cell, x, t, alpha, cfg, stream_for(cfg, trial)), None)
+    if walk is None:
+        raise RestartLimitExceeded(f"trial {trial}: all {RESTART_CAP} cell samples hit a tie")
+    resample, _, trace, _ = walk
+    b, c = count_crossings(trace)
+    return TrialOutcome(
+        trial=trial,
+        phase_b=b,
+        phase_c=c,
+        resamples=resample,
+        wall_clock=time.perf_counter() - start,
+    )
 
 
 def _pool_init(cell, x, t, alpha, cfg):
@@ -155,7 +161,8 @@ def run_crossing_trials(
     """Independent randomized walks from x to t + alpha*Z, one per trial.
 
     Trial i draws from stream (seed, i, resample); exact ties are resampled
-    and counted.  Results are identical for any job count: workers only
+    and counted, and a trial whose RESTART_CAP samples all tie raises
+    RestartLimitExceeded.  Results are identical for any job count: workers only
     change who computes which index.
     """
     alpha = linalg.frac(alpha)
@@ -417,20 +424,6 @@ def graph_distance_rows(
 # solve strategies
 
 
-@dataclass(frozen=True)
-class StrategyResult:
-    strategy: str
-    point: LatticePoint
-    dist_sq: Fraction
-    certified: bool
-    phase_b: int
-    phase_c: int
-    edges_total: int
-    restarts: int
-    slicer_steps: int
-    trace: Optional[object]
-
-
 STRATEGIES = ("rsl", "slicer", "mv", "deterministic-line")
 
 
@@ -439,7 +432,7 @@ def solve_with_strategy(
     t: Target,
     strategy: str,
     cfg: SamplerConfig,
-) -> StrategyResult:
+) -> SolveResult:
     """Run one of the navigation strategies to a certified answer.
 
     The deterministic-line strategy follows the unperturbed segment from the
@@ -448,22 +441,11 @@ def solve_with_strategy(
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}")
-    cell = pre.cell
     if strategy == "rsl":
-        res = query(pre, t, cfg)
-        return StrategyResult(
-            strategy=strategy,
-            point=res.point,
-            dist_sq=linalg.norm_sq(linalg.sub(t.coords, res.point.ambient)),
-            certified=res.certified,
-            phase_b=res.phase_b,
-            phase_c=res.phase_c,
-            edges_total=res.edges_total,
-            restarts=res.restarts,
-            slicer_steps=0,
-            trace=res.trace,
-        )
+        return query(pre, t, cfg)
+    cell = pre.cell
     x = round_to_start(pre, t)
+    steps = 0
     if strategy == "slicer":
         y, steps = iterative_slicer(cell, t, x)
         trace = None
@@ -479,17 +461,14 @@ def solve_with_strategy(
         )
         b, c = count_crossings(trace)
         edges = len(trace.events)
-    return StrategyResult(
-        strategy=strategy,
+    return SolveResult(
         point=y,
-        dist_sq=linalg.norm_sq(linalg.sub(t.coords, y.ambient)),
         certified=certify(pre, t, y),
+        restarts=0,
+        edges_total=edges,
         phase_b=b,
         phase_c=c,
-        edges_total=edges,
-        restarts=0,
-        slicer_steps=steps if strategy == "slicer" else 0,
+        seed=cfg.seed,
         trace=trace,
+        slicer_steps=steps,
     )
-
-

@@ -169,14 +169,6 @@ def qbar(basis: LatticeBasis, target: Target | None = None) -> int:
     return d
 
 
-def lcm_qbar_with_target(qbar_basis: int, target: Target) -> int:
-    """Extend a basis-only clearing factor by a target's denominators."""
-    d = qbar_basis
-    for x in target.coords:
-        d = lcm(d, x.denominator)
-    return d
-
-
 @dataclass(frozen=True)
 class EncodingStats:
     bits_basis: int

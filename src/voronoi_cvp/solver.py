@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import linalg
 from .errors import ContractViolation, RestartLimitExceeded, TieDetected
@@ -21,7 +21,7 @@ from .lattice import (
     LatticePoint,
     Target,
     covering_radius_upper,
-    lcm_qbar_with_target,
+    qbar,
 )
 from .navigation import (
     TRUNCATED,
@@ -55,7 +55,6 @@ class PreprocessedLattice:
     frame_inverse: tuple[tuple[Fraction, ...], ...]
     frame_sum_sq: Fraction
     bits_basis: int
-    qbar_basis: int
 
 
 def preprocess(
@@ -88,7 +87,6 @@ def preprocess(
         frame_inverse=linalg.inverse(frame_rows),
         frame_sum_sq=covering_radius_upper([v.ambient for v in frame]),
         bits_basis=basis.encoding_length,
-        qbar_basis=basis.denominator_lcm,
     )
 
 
@@ -107,44 +105,41 @@ def round_to_start(pre: PreprocessedLattice, t: Target) -> LatticePoint:
     return LatticePoint.from_coeffs(pre.basis, coeffs)
 
 
+#: Edge budget per attempt: THRESHOLD_CONSTANT * n * (n + input bits).
+THRESHOLD_CONSTANT = 8
+#: Attempts (fresh cell samples) before a query gives up.
+RESTART_CAP = 64
+
+
 @dataclass(frozen=True)
 class QueryParams:
-    """Per-query truncation parameter and restart threshold."""
+    """Per-query truncation parameter, edge budget and attempt cap."""
 
     alpha: Fraction
     max_edges: int
-    threshold_constant: int = 8
-    restart_cap: int = 64
+    restart_cap: int = RESTART_CAP
 
 
-def make_query_params(
-    pre: PreprocessedLattice,
-    t: Target,
-    threshold_constant: int = 8,
-    restart_cap: int = 64,
-) -> QueryParams:
+def make_query_params(pre: PreprocessedLattice, t: Target) -> QueryParams:
     """alpha = 1/(4 qbar mu_upper)^2 and an edge budget linear in the bit sizes.
 
     Using the certified upper bound on the covering radius only shrinks
     alpha, which strengthens the separation argument that makes the
     truncated endpoint's cell a closest vector.
     """
-    qb = lcm_qbar_with_target(pre.qbar_basis, t)
+    qb = qbar(pre.basis, t)
     alpha = Fraction(1, 4 * qb * qb) / pre.frame_sum_sq
     if not (0 < alpha <= 1):
         raise ContractViolation("truncation parameter out of range")
     bits = pre.bits_basis + t.encoding_length
     n = pre.basis.n
-    return QueryParams(
-        alpha=alpha,
-        max_edges=threshold_constant * n * (n + bits),
-        threshold_constant=threshold_constant,
-        restart_cap=restart_cap,
-    )
+    return QueryParams(alpha=alpha, max_edges=THRESHOLD_CONSTANT * n * (n + bits))
 
 
 @dataclass(frozen=True)
 class SolveResult:
+    """An answer, its exact certificate and walk counts; `trace` is None for the slicer."""
+
     point: LatticePoint
     certified: bool
     restarts: int
@@ -152,12 +147,43 @@ class SolveResult:
     phase_b: int
     phase_c: int
     seed: int
-    trace: PathTrace
+    trace: Optional[PathTrace]
+    slicer_steps: int = 0
 
 
 def certify(pre: PreprocessedLattice, t: Target, y: LatticePoint) -> bool:
     """Exact test that y is a closest lattice vector: t - y lies in the cell."""
     return membership(pre.cell, linalg.sub(t.coords, y.ambient))
+
+
+def walks(
+    cell: VoronoiCellData,
+    x: LatticePoint,
+    t: Target,
+    alpha: Fraction,
+    cfg: SamplerConfig,
+    stream: SampleStream,
+    cap: int = RESTART_CAP,
+    max_edges: Optional[int] = None,
+) -> Iterator[tuple[int, LatticePoint, PathTrace, int]]:
+    """The Las Vegas attempt loop: one randomized walk per fresh cell sample.
+
+    Attempt i draws Z from `stream.child(i)` and walks from x to the cell
+    of t + alpha*Z.  An exact tie or a walk truncated by `max_edges` moves
+    on to the next attempt; every walk that reaches its endpoint is yielded
+    as (attempt, endpoint, trace, edges walked so far, this walk included).
+    The loop ends after `cap` attempts; the caller decides what to accept.
+    """
+    edges = 0
+    for attempt in range(cap):
+        z = uniform_sample(cell, cfg, stream.child(attempt))
+        try:
+            result, trace = randomized_straight_line(cell, x, t, z, alpha, max_edges=max_edges)
+        except TieDetected:
+            continue
+        edges += len(trace.events)
+        if result is not TRUNCATED:
+            yield attempt, result, trace, edges
 
 
 def query(
@@ -170,33 +196,24 @@ def query(
     """Las Vegas closest-vector query.
 
     Each attempt draws a fresh cell sample and walks the randomized straight
-    line under the edge budget; truncation or an exact tie triggers a
-    restart with fresh randomness.  Only exactly certified answers are
-    returned; the restart cap aborts with a diagnostic instead of guessing.
+    line under the edge budget; truncation, an exact tie or a failed
+    certificate triggers a restart with fresh randomness.  Only exactly
+    certified answers are returned; the restart cap aborts with a diagnostic
+    instead of guessing.
     """
     params = params or make_query_params(pre, t)
-    stream = stream or stream_for(cfg)
     x = round_to_start(pre, t)
-    edges_total = 0
-    for attempt in range(params.restart_cap):
-        sub = stream.child(attempt)
-        z = uniform_sample(pre.cell, cfg, sub)
-        try:
-            result, trace = randomized_straight_line(
-                pre.cell, x, t, z, params.alpha, max_edges=params.max_edges
-            )
-        except TieDetected:
-            continue
-        edges_total += len(trace.events)
-        if result is TRUNCATED:
-            continue
-        if certify(pre, t, result):
+    for attempt, y, trace, edges in walks(
+        pre.cell, x, t, params.alpha, cfg, stream or stream_for(cfg),
+        cap=params.restart_cap, max_edges=params.max_edges,
+    ):
+        if certify(pre, t, y):
             b, c = count_crossings(trace)
             return SolveResult(
-                point=result,
+                point=y,
                 certified=True,
                 restarts=attempt,
-                edges_total=edges_total,
+                edges_total=edges,
                 phase_b=b,
                 phase_c=c,
                 seed=cfg.seed,

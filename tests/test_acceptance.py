@@ -50,6 +50,7 @@ from voronoi_cvp.sampling import (
     gamma_sample,
     stream_for,
     theta_for_dimension,
+    uniform_sample,
     uniform_voronoi_rejection,
 )
 
@@ -275,9 +276,7 @@ def test_criterion_6_line_following_contract(z2_cell, z3_cell, skew2_cell, rand_
                 z = LatticePoint.from_coeffs(
                     basis, [int(rng.integers(-2, 3)) for _ in range(n)]
                 )
-                u = uniform_voronoi_rejection(
-                    cell, cfg, stream_for(cfg, ci, attempt)
-                )
+                u = uniform_sample(cell, cfg, stream_for(cfg, ci, attempt))
                 a = tuple(zi + ui for zi, ui in zip(z.ambient, u))
                 b = tuple(
                     ai + F(int(rng.integers(-16, 17)), 8) for ai in a

@@ -335,6 +335,17 @@ def test_solve_uses_cache_when_present(tmp_path, capsys):
     assert res["y_coeffs"] in ([0, 0], [1, 0], [0, 1], [1, 1])
 
 
+def test_solve_warns_on_stale_cache(tmp_path, capsys):
+    path = write_z2(tmp_path, capsys)
+    run_cli(capsys, "preprocess", str(path))
+    path.write_text(json.dumps({"n": 2, "basis": [["2", "1"], ["0", "1"]]}))
+    code, out, err = run_cli(capsys, "solve", str(path), "--target", "1/2,1/3", "--check")
+    assert code == 0
+    res = json.loads(out)
+    assert res["certified"] is True and res["oracle-match"] is True
+    assert f"warning: ignoring relevant-vector cache {path}.vr.json:" in err
+
+
 MALFORMED = {
     "start-coeffs": ["crossings", "--trials", "2", "--target", "1/2,1/3", "--start-coeffs", "a,b"],
     "alpha": ["crossings", "--trials", "2", "--target", "1/2,1/3", "--alpha", "x"],

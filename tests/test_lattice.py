@@ -74,6 +74,18 @@ def test_qbar_examples():
     assert qbar(b, Target.of([Fraction(1, 4), 0])) == 4
 
 
+def _prime_factors(q: int) -> set[int]:
+    primes, d = set(), 2
+    while d * d <= q:
+        while q % d == 0:
+            primes.add(d)
+            q //= d
+        d += 1
+    if q > 1:
+        primes.add(q)
+    return primes
+
+
 @given(
     st.lists(rationals, min_size=2, max_size=2),
     st.sampled_from([1, 2, 3, 4, 6, 12]),
@@ -87,12 +99,13 @@ def test_qbar_clears_denominators_minimally(tcoords, scale_den):
             assert (x * q).denominator == 1
     for x in t.coords:
         assert (x * q).denominator == 1
-    for div in range(1, q):
-        if q % div == 0 and div < q:
-            cleared = all((x * div).denominator == 1 for x in t.coords) and all(
-                (x * div).denominator == 1 for col in basis.columns for x in col
-            )
-            assert not cleared
+    # minimal: every proper divisor of q divides q/p for some prime p | q
+    for p in _prime_factors(q):
+        div = q // p
+        cleared = all((x * div).denominator == 1 for x in t.coords) and all(
+            (x * div).denominator == 1 for col in basis.columns for x in col
+        )
+        assert not cleared
 
 
 def test_coset_reps_lexicographic():

@@ -8,6 +8,7 @@ from voronoi_cvp import (
     RestartLimitExceeded,
     SamplerConfig,
     Target,
+    TieDetected,
     certify,
     cvp_bruteforce,
     make_query_params,
@@ -16,6 +17,9 @@ from voronoi_cvp import (
     round_to_start,
     voronoi_norm,
 )
+from voronoi_cvp import solver
+from voronoi_cvp.cli import main
+from voronoi_cvp.experiments import run_crossing_trials
 from voronoi_cvp.lattice import qbar, random_rational_target
 from voronoi_cvp.linalg import norm_sq, rank, sub
 from voronoi_cvp.sampling import stream_for
@@ -33,7 +37,7 @@ def test_preprocess_integer_lattice():
         expected = {tuple(int(i == j) for i in range(n)) for j in range(n)}
         assert frame_dirs == expected
         assert pre.frame_sum_sq == n  # mu <= sqrt(n)/2
-        assert pre.qbar_basis == 1
+        assert qbar(pre.basis) == 1
 
 
 def test_preprocess_one_dimensional():
@@ -164,6 +168,45 @@ def test_query_restart_cap(rand_lattices):
     params = QueryParams(alpha=F(1, 64), max_edges=0, restart_cap=3)
     with pytest.raises(RestartLimitExceeded):
         query(pre, t, cfg, params=params)
+
+
+def test_out_of_attempts_is_typed(z2_cell, tmp_path, capsys, monkeypatch):
+    # every walk ties, so the attempt loop runs dry: the crossing trials and
+    # the CLI both report it as RestartLimitExceeded (exit 4), not a crash
+    def always_tie(*args, **kwargs):
+        raise TieDetected([], F(0), 0)
+
+    monkeypatch.setattr(solver, "randomized_straight_line", always_tie)
+    t = Target.of([F(5, 2), F(1, 3)])
+    with pytest.raises(RestartLimitExceeded):
+        run_crossing_trials(z2_cell, LatticePoint.origin(2), t, F(1, 32), 2, SamplerConfig(seed=1))
+    path = tmp_path / "z2.json"
+    assert main(["gen", "--kind", "integer-identity", "-n", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["crossings", str(path), "--trials", "2", "--target", "5/2,1/3"])
+    err = capsys.readouterr().err
+    assert code == 4 and err.startswith("internal error:") and "Traceback" not in err
+
+
+def test_seeded_stream_layout(rand_lattices):
+    # literal values pin the spawn keys: (trial, resample) for crossing
+    # trials and (attempt,) for queries
+    _, cell = rand_lattices[1]
+    t = Target.of([1, F(-26, 53), F(247, 59)])
+    outs = run_crossing_trials(cell, LatticePoint.origin(3), t, F(1, 1024), 5, SamplerConfig(seed=5))
+    assert [(o.phase_b, o.phase_c, o.resamples) for o in outs] == [
+        (3, 1, 0), (2, 0, 0), (2, 0, 0), (1, 0, 0), (2, 2, 0)
+    ]
+    basis, cell = rand_lattices[3]
+    pre = preprocess(basis, cell=cell)
+    t = Target.of([F(-277, 28), F(64, 11), F(-136, 35), F(-135, 23)])
+    cfg = SamplerConfig(seed=6)
+    res = query(pre, t, cfg)
+    assert (res.point.coeffs, res.restarts, res.edges_total) == ((3, -8, -4, -2), 0, 3)
+    # a one-edge budget truncates the first five attempts
+    params = QueryParams(alpha=make_query_params(pre, t).alpha, max_edges=1)
+    res = query(pre, t, cfg, params=params)
+    assert (res.point.coeffs, res.restarts, res.edges_total) == ((3, -8, -4, -2), 5, 6)
 
 
 def test_rational_separation_small(rand_lattices):
