@@ -1,0 +1,222 @@
+#!/usr/bin/env python3
+"""One sha256 over a fixed set of seeded outputs of the package.
+
+A refactor that must not change behaviour should print the same hash
+before and after.  The hash covers, on seeded lattices n = 2..4 plus Z^2
+(which has exact ties):
+
+- the relevant vectors (coefficients, ambient coordinates, lambda_1^2, R^2)
+- all four solve strategies, with their walk traces as JSON lines
+- randomized walks and queries under small edge budgets (truncations and
+  restart-limit errors included)
+- the crossing-trial rows
+- the CLI outputs of `gen`, `preprocess`, `solve --trace-out`,
+  `crossings` (CSV and JSON, with manifest sidecars) and `graphdist`,
+  every file those commands write included
+
+Wall-clock fields (`wall_clock`, `timestamp`) are dropped and the CLI
+runs on relative paths in a scratch directory, so reruns hash the same.
+
+Example:
+    PYTHONPATH=src python scripts/seeded_outputs.py
+"""
+
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+from voronoi_cvp import LatticeBasis, LatticePoint, SamplerConfig, Target, TieDetected, cli
+from voronoi_cvp import preprocess, query
+from voronoi_cvp.errors import RestartLimitExceeded
+from voronoi_cvp.experiments import STRATEGIES, crossing_rows, run_crossing_trials
+from voronoi_cvp.experiments import solve_with_strategy
+from voronoi_cvp.lattice import random_rational_basis, random_rational_target
+from voronoi_cvp.navigation import TRUNCATED, line_follow, mv_walk, randomized_straight_line
+from voronoi_cvp.navigation import trace_to_jsonl
+from voronoi_cvp.sampling import stream_for, uniform_sample
+from voronoi_cvp.solver import QueryParams, make_query_params
+
+WALL_CLOCK_KEYS = ("wall_clock", "timestamp")
+
+
+def _strip(obj):
+    if isinstance(obj, dict):
+        return {k: _strip(v) for k, v in obj.items() if k not in WALL_CLOCK_KEYS}
+    if isinstance(obj, list):
+        return [_strip(v) for v in obj]
+    return obj
+
+
+def _json_text(text: str) -> str:
+    """Re-serialise JSON without wall-clock keys, keeping key order."""
+    return json.dumps(_strip(json.loads(text)), indent=1)
+
+
+def _csv_text(text: str) -> str:
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        return ""
+    keep = [i for i, name in enumerate(rows[0]) if name not in WALL_CLOCK_KEYS]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows)
+
+
+def _normalise(name: str, text: str) -> str:
+    if name.endswith(".csv"):
+        return _csv_text(text)
+    if name.endswith(".jsonl") or not text.strip():
+        return text
+    return _json_text(text)
+
+
+def _trace(trace) -> list:
+    return [list(trace.start.coeffs), list(trace.final.coeffs), trace_to_jsonl(trace)]
+
+
+def _lattices():
+    rng = np.random.Generator(np.random.PCG64(20261018))
+    out = [("Z2", LatticeBasis.identity(2))]
+    for n in (2, 3, 3, 4):
+        out.append((f"rand{n}", random_rational_basis(n, rng)))
+    return out, rng
+
+
+def library_outputs():
+    """(label, text) records from direct library calls."""
+    records = []
+    lattices, rng = _lattices()
+    for k, (name, basis) in enumerate(lattices):
+        tag = f"{k}:{name}"
+        pre = preprocess(basis)
+        cell = pre.cell
+        records.append((f"{tag}:cell", json.dumps({
+            "vr": [[list(v.coeffs), [str(c) for c in v.ambient]] for v in cell.vectors],
+            "lambda1_sq": str(cell.lambda1_sq),
+            "outer_radius_sq": str(cell.outer_radius_sq),
+            "frame": [list(v.coeffs) for v in pre.frame],
+        })))
+        for j in range(3):
+            t = Target.of([c * (1 + 3 * j) for c in random_rational_target(basis, rng).coords])
+            cfg = SamplerConfig(seed=1000 * k + j)
+            for strategy in STRATEGIES:
+                res = solve_with_strategy(pre, t, strategy, cfg)
+                records.append((f"{tag}:{j}:{strategy}", json.dumps({
+                    "point": list(res.point.coeffs),
+                    "certified": res.certified,
+                    "restarts": res.restarts,
+                    "edges": res.edges_total,
+                    "phase_b": res.phase_b,
+                    "phase_c": res.phase_c,
+                    "slicer_steps": res.slicer_steps,
+                    "trace": None if res.trace is None else _trace(res.trace),
+                })))
+            # walks from the origin, whole and under small edge budgets
+            origin = LatticePoint.origin(basis.n)
+            alpha = make_query_params(pre, t).alpha
+            z = uniform_sample(cell, cfg, stream_for(cfg, 7))
+            for label, walk in (
+                ("mv", lambda: mv_walk(cell, t, origin)),
+                ("line", lambda: line_follow(cell, origin.ambient, t.coords, origin,
+                                             tie_break="lexicographic")),
+            ):
+                w, tr = walk()
+                records.append((f"{tag}:{j}:{label}-from-origin",
+                                json.dumps([list(w.coeffs), _trace(tr)])))
+            for budget in (0, 1, 3, 8, None):
+                try:
+                    w, tr = randomized_straight_line(cell, origin, t, z, alpha, max_edges=budget)
+                    out = [repr(w) if w is TRUNCATED else list(w.coeffs), _trace(tr)]
+                except TieDetected as e:
+                    out = ["tie", str(e), str(e.alpha), [list(v.coeffs) for v in e.tied]]
+                records.append((f"{tag}:{j}:walk-budget-{budget}", json.dumps(out)))
+                if budget is None:
+                    continue
+                params = QueryParams(alpha=alpha, max_edges=budget, restart_cap=3)
+                try:
+                    res = query(pre, t, cfg, params=params)
+                    out = [list(res.point.coeffs), res.restarts, res.edges_total,
+                           res.phase_b, res.phase_c]
+                except RestartLimitExceeded as e:
+                    out = ["restart-limit", str(e)]
+                records.append((f"{tag}:{j}:query-budget-{budget}", json.dumps(out)))
+        # crossing rows from the start at the origin to a far target
+        t = Target.of([5 * c for c in random_rational_target(basis, rng).coords])
+        x = LatticePoint.origin(basis.n)
+        cfg = SamplerConfig(seed=77 + k)
+        alpha = Fraction(1, 64)
+        outcomes = run_crossing_trials(cell, x, t, alpha, 6, cfg)
+        rows = crossing_rows(cell, x, t, alpha, outcomes, cfg.seed, "manifest")
+        records.append((f"{tag}:crossings", json.dumps(_strip(rows), default=str)))
+    # an exact tie: the segment from 0 to (2, 2) passes a vertex of the Z^2 cell
+    z2 = preprocess(LatticeBasis.identity(2)).cell
+    try:
+        randomized_straight_line(z2, LatticePoint.origin(2), Target.of([2, 2]), (0, 0), 1)
+    except TieDetected as e:
+        records.append(("Z2:tie", json.dumps([str(e), str(e.alpha), [list(v.coeffs) for v in e.tied]])))
+    return records
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_outputs():
+    """(label, text) records from the CLI, files it writes included.
+
+    The commands run inside a scratch directory on relative paths, since
+    the manifests hash the paths they are given.
+    """
+    records = []
+    runs = [
+        ["gen", "--kind", "random-rational", "-n", "3", "--seed", "5", "--out", "lat.json"],
+        ["preprocess", "lat.json"],
+        ["solve", "lat.json", "--target=27/4,-19/3,5/2", "--strategy", "rsl", "--check",
+         "--seed", "3", "--trace-out", "rsl.jsonl"],
+        ["solve", "lat.json", "--target=27/4,-19/3,5/2", "--strategy", "slicer"],
+        ["solve", "lat.json", "--target=-11/2,13/3,22/7", "--strategy", "mv",
+         "--trace-out", "mv.jsonl"],
+        ["solve", "lat.json", "--target=-11/2,13/3,22/7", "--strategy", "deterministic-line",
+         "--trace-out", "line.jsonl"],
+        ["crossings", "lat.json", "--trials", "8", "--target=9/2,-17/3,15/4", "--seed", "4",
+         "--out", "rows.csv"],
+        ["crossings", "lat.json", "--trials", "8", "--target=9/2,-17/3,15/4", "--seed", "4",
+         "--start-coeffs=1,-1,0", "--format", "json", "--out", "rows.json"],
+        ["crossings", "lat.json", "--trials", "3", "--target=1/3,1/5,-1/7", "--format", "json"],
+        ["graphdist", "lat.json", "--pairs", "box:1", "--cap", "6", "--out", "gd.csv"],
+        ["graphdist", "lat.json", "--pairs", "random:6", "--format", "json"],
+    ]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for i, argv in enumerate(runs):
+                code, out, err = _run_cli(argv)
+                records.append((f"cli:{i}:{argv[0]}", json.dumps([code, _normalise("", out), err])))
+            for path in sorted(Path(tmp).iterdir()):
+                records.append((f"file:{path.name}", _normalise(path.name, path.read_text())))
+        finally:
+            os.chdir(cwd)
+    return records
+
+
+def main() -> int:
+    h = hashlib.sha256()
+    for label, text in library_outputs() + cli_outputs():
+        h.update(label.encode() + b"\0" + text.encode() + b"\0")
+    print(h.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

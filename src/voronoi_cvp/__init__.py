@@ -17,16 +17,13 @@ from .errors import (
     TieDetected,
 )
 from .lattice import (
-    EncodingStats,
     LatticeBasis,
     LatticePoint,
-    Scalar,
     Target,
     coset_reps_mod2,
     covering_radius_upper,
     encoding_length,
     encoding_length_int,
-    encoding_stats,
     qbar,
 )
 from .navigation import (
@@ -61,11 +58,4 @@ from .solver import (
     query,
     round_to_start,
 )
-from .voronoi import (
-    RelevantVector,
-    VoronoiCellData,
-    compute_relevant_vectors,
-    membership,
-    sandwich_radii,
-    voronoi_norm,
-)
+from .voronoi import VoronoiCellData, compute_relevant_vectors, membership, voronoi_norm

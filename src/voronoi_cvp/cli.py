@@ -260,13 +260,20 @@ def _cache_path(basis_path: str) -> Path:
 
 
 def _load_or_compute_cell(args, basis: LatticeBasis, basis_path: str):
+    """The cached cell if it loads; else a fresh one, which replaces a rejected cache."""
     cache = _cache_path(basis_path)
-    if cache.exists():
-        try:
-            return voronoi.load_cell(cache, basis)
-        except InputError as e:
-            print(f"warning: ignoring relevant-vector cache {cache}: {e}", file=sys.stderr)
-    return voronoi.compute_relevant_vectors(basis, dim_cap=args.dim_cap)
+    if not cache.exists():
+        return voronoi.compute_relevant_vectors(basis, dim_cap=args.dim_cap)
+    try:
+        return voronoi.load_cell(cache, basis)
+    except InputError as e:
+        print(f"warning: ignoring relevant-vector cache {cache}: {e}", file=sys.stderr)
+    cell = voronoi.compute_relevant_vectors(basis, dim_cap=args.dim_cap)
+    try:
+        voronoi.save_cell(cell, cache)
+    except OSError as e:
+        print(f"warning: cannot rewrite relevant-vector cache {cache}: {e}", file=sys.stderr)
+    return cell
 
 
 def _rows_to_text(args, columns, rows, manifest) -> str:
@@ -305,9 +312,7 @@ def cmd_gen(args) -> int:
         if kind == "integer-identity":
             basis = LatticeBasis.identity(args.dimension)
         else:
-            stream = sampling.SampleStream.from_config(
-                _sampler_config(args), 0
-            )
+            stream = sampling.stream_for(_sampler_config(args), 0)
             basis = lattice.random_rational_basis(
                 args.dimension,
                 stream.gen,
@@ -458,7 +463,7 @@ def _parse_pairs(args, basis: LatticeBasis, cell) -> list[tuple[LatticePoint, La
                 pairs.append((origin, LatticePoint.from_coeffs(basis, coeffs)))
         return pairs
     if kind == "random":
-        stream = sampling.SampleStream.from_config(_sampler_config(args), 1)
+        stream = sampling.stream_for(_sampler_config(args), 1)
         pairs = []
         for _ in range(arg):
             a = [int(stream.gen.integers(-3, 4)) for _ in range(n)]

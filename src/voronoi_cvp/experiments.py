@@ -224,51 +224,6 @@ def summarize_crossings(
     )
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One crossing-statistics trial: counts next to the exact bound inputs.
-
-    The bound fields are computed from the same exact quantities the run
-    used (the cell norm of t - x, and alpha), so verdicts are recomputable
-    from the rows alone.
-    """
-
-    lattice_hash: str
-    n: int
-    target: str
-    start: str
-    strategy: str
-    alpha: Fraction
-    trial: int
-    phase_b: int
-    phase_c: int
-    bound_b: Fraction
-    bound_c: float
-    resamples: int
-    seed: int
-    wall_clock: float
-
-    def to_row(self, manifest_hash: str) -> dict:
-        return {
-            "row_type": "trial",
-            "trial": self.trial,
-            "lattice_hash": self.lattice_hash,
-            "n": self.n,
-            "target": self.target,
-            "start": self.start,
-            "strategy": self.strategy,
-            "alpha": str(self.alpha),
-            "phase_b": self.phase_b,
-            "phase_c": self.phase_c,
-            "bound_b": str(self.bound_b),
-            "bound_c": repr(self.bound_c),
-            "resamples": self.resamples,
-            "seed": self.seed,
-            "wall_clock": f"{self.wall_clock:.6f}",
-            "manifest_hash": manifest_hash,
-        }
-
-
 CROSSING_COLUMNS = [
     "row_type",
     "trial",
@@ -295,38 +250,6 @@ CROSSING_COLUMNS = [
 ]
 
 
-def crossing_records(
-    cell: VoronoiCellData,
-    x: LatticePoint,
-    t: Target,
-    alpha: Fraction,
-    outcomes: Sequence[TrialOutcome],
-    seed: int,
-) -> list[ExperimentRecord]:
-    lat_hash = basis_hash(cell.basis)
-    bb = phase_b_bound(cell, x, t)
-    bc = phase_c_bound(cell.n, alpha)
-    return [
-        ExperimentRecord(
-            lattice_hash=lat_hash,
-            n=cell.n,
-            target=",".join(str(c) for c in t.coords),
-            start=",".join(str(c) for c in x.coeffs),
-            strategy="rsl",
-            alpha=alpha,
-            trial=o.trial,
-            phase_b=o.phase_b,
-            phase_c=o.phase_c,
-            bound_b=bb,
-            bound_c=bc,
-            resamples=o.resamples,
-            seed=seed,
-            wall_clock=o.wall_clock,
-        )
-        for o in outcomes
-    ]
-
-
 def crossing_rows(
     cell: VoronoiCellData,
     x: LatticePoint,
@@ -336,22 +259,45 @@ def crossing_rows(
     seed: int,
     manifest_hash: str,
 ) -> list[dict]:
-    """Per-trial rows plus one summary row, CSV/JSON ready."""
-    records = crossing_records(cell, x, t, alpha, outcomes, seed)
-    rows = [r.to_row(manifest_hash) for r in records]
-    if records:
-        bb, bc = records[0].bound_b, records[0].bound_c
+    """Per-trial rows plus one summary row, CSV/JSON ready.
+
+    The bound fields are computed from the same exact quantities the run
+    used (the cell norm of t - x, and alpha), so verdicts are recomputable
+    from the rows alone.
+    """
+    bb = phase_b_bound(cell, x, t)
+    bc = phase_c_bound(cell.n, alpha)
+    run = {
+        "lattice_hash": basis_hash(cell.basis),
+        "n": cell.n,
+        "target": ",".join(str(c) for c in t.coords),
+        "start": ",".join(str(c) for c in x.coeffs),
+        "strategy": "rsl",
+        "alpha": str(alpha),
+    }
+    rows = [
+        {
+            "row_type": "trial",
+            "trial": o.trial,
+            **run,
+            "phase_b": o.phase_b,
+            "phase_c": o.phase_c,
+            "bound_b": str(bb),
+            "bound_c": repr(bc),
+            "resamples": o.resamples,
+            "seed": seed,
+            "wall_clock": f"{o.wall_clock:.6f}",
+            "manifest_hash": manifest_hash,
+        }
+        for o in outcomes
+    ]
+    if outcomes:
         s = summarize_crossings(outcomes, bb, bc)
         rows.append(
             {
                 "row_type": "summary",
-                "trial": len(records),
-                "lattice_hash": records[0].lattice_hash,
-                "n": records[0].n,
-                "target": records[0].target,
-                "start": records[0].start,
-                "strategy": records[0].strategy,
-                "alpha": str(records[0].alpha),
+                "trial": len(outcomes),
+                **run,
                 "bound_b": str(bb),
                 "bound_c": repr(bc),
                 "seed": seed,

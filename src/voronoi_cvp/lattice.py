@@ -18,8 +18,6 @@ from . import linalg
 from .errors import InputError, SizeCapError
 from .linalg import Vec, frac, lcm, vec
 
-Scalar = Fraction
-
 #: Hard default on any enumeration that is exponential in the dimension.
 DEFAULT_DIM_CAP = 14
 
@@ -169,21 +167,6 @@ def qbar(basis: LatticeBasis, target: Target | None = None) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class EncodingStats:
-    bits_basis: int
-    bits_target: int
-    qbar: int
-
-
-def encoding_stats(basis: LatticeBasis, target: Target) -> EncodingStats:
-    return EncodingStats(
-        bits_basis=basis.encoding_length,
-        bits_target=target.encoding_length,
-        qbar=qbar(basis, target),
-    )
-
-
 def coset_reps_mod2(n: int, dim_cap: int = DEFAULT_DIM_CAP) -> list[tuple[int, ...]]:
     """The 2^n - 1 nonzero 0/1 coefficient vectors, in lexicographic order."""
     if n > dim_cap:
@@ -228,10 +211,6 @@ def basis_from_obj(obj: dict) -> LatticeBasis:
         return LatticeBasis.from_rows([[Fraction(x) for x in row] for row in rows])
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational entry in basis: {e}") from None
-
-
-def target_to_obj(target: Target) -> dict:
-    return {"t": [_fmt(x) for x in target.coords]}
 
 
 def target_from_obj(obj: dict) -> Target:

@@ -37,10 +37,6 @@ def sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def neg(u: Sequence[Fraction]) -> Vec:
-    return tuple(-a for a in u)
-
-
 def scale(c: Fraction, u: Sequence[Fraction]) -> Vec:
     return tuple(c * a for a in u)
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import ContractViolation, TieDetected
 from .lattice import LatticePoint, Target
-from .voronoi import RelevantVector, VoronoiCellData, membership, voronoi_norm
+from .voronoi import VoronoiCellData, membership, voronoi_norm
 
 PHASE_SHIFTED = "B"  # along the shifted segment [x+Z, t+Z]
 PHASE_DESCENT = "C"  # from t+Z down to the truncated endpoint t+alpha*Z
@@ -35,26 +35,25 @@ HARD_STEP_LIMIT = 1_000_000
 class CrossingEvent:
     """One facet crossing: exit time alpha on the followed segment and the edge taken.
 
-    The exit point is a + alpha (b - a) for the segment [a, b]; consecutive
-    events share their `after` and `before` objects.
+    The exit point is a + alpha (b - a) for the segment [a, b]; the edge is
+    the relevant vector from the cell left to the cell entered.
     """
 
     alpha: Fraction
-    edge: RelevantVector
-    before: LatticePoint
-    after: LatticePoint
+    edge: LatticePoint
     phase: str
 
 
 @dataclass(frozen=True)
 class PathTrace:
+    """A walk: its start, its end, and one event per crossing in between.
+
+    The cell centre after crossing k is `start` plus the first k edges.
+    """
+
     start: LatticePoint
     final: LatticePoint
     events: tuple[CrossingEvent, ...]
-
-    @property
-    def edges(self) -> tuple[RelevantVector, ...]:
-        return tuple(e.edge for e in self.events)
 
     def count(self, phase: str) -> int:
         return sum(1 for e in self.events if e.phase == phase)
@@ -122,7 +121,6 @@ def line_follow(
 
     d_int, dd = linalg.scaled_ints(linalg.sub(b, a))
     coeffs = list(z.coeffs)
-    here = z
     events: list[CrossingEvent] = []
 
     # candidate exit facets: indices with positive direction component
@@ -132,7 +130,6 @@ def line_follow(
         if q > 0:
             cand.append((idx, v_int, q, linalg.dot_int(v_int, a_int)))
 
-    steps = 0
     while cand:
         best: list[tuple] = []
         best_p = best_q = None
@@ -151,36 +148,27 @@ def line_follow(
             tied = [cell.vectors[i] for i, _, _, _ in best]
             alpha = Fraction(best_p * dd, 2 * den * da * best_q)
             if tie_break == "error":
-                raise TieDetected(tied, alpha, steps)
+                raise TieDetected(tied, alpha, len(events))
             best.sort(key=lambda item: cell.vectors[item[0]].coeffs)
-        if max_edges is not None and steps >= max_edges:
-            raise _EdgeBudget(here, events)
+        if max_edges is not None and len(events) >= max_edges:
+            raise _EdgeBudget(_point_from_scaled(tuple(coeffs), w_int, den), events)
         idx, v_int, q, p = best[0]
         edge = cell.vectors[idx]
         for i in range(len(w_int)):
             w_int[i] += v_int[i]
             coeffs[i] += edge.coeffs[i]
-        after = _point_from_scaled(tuple(coeffs), w_int, den)
         events.append(
-            CrossingEvent(
-                alpha=Fraction(p * dd, 2 * den * da * q),
-                edge=edge,
-                before=here,
-                after=after,
-                phase=phase,
-            )
+            CrossingEvent(alpha=Fraction(p * dd, 2 * den * da * q), edge=edge, phase=phase)
         )
-        here = after
-        steps += 1
-        if steps > HARD_STEP_LIMIT:
+        if len(events) > HARD_STEP_LIMIT:
             raise ContractViolation("line_follow exceeded the hard step limit")
 
-    w = here
     # postcondition: b lies in the cell of w
     b_int, db = linalg.scaled_ints(b)
     rel_b = tuple(bi * den - wi * db for bi, wi in zip(b_int, w_int))
     if not cell.membership_scaled(rel_b, db * den):
         raise ContractViolation("line_follow ended outside the target cell")
+    w = _point_from_scaled(tuple(coeffs), w_int, den)
     return w, PathTrace(start=z, final=w, events=tuple(events))
 
 
@@ -238,10 +226,7 @@ def _merge_traces(start: LatticePoint, final: LatticePoint, parts: Sequence[Path
 
 
 def mv_walk(
-    cell: VoronoiCellData,
-    t: Target,
-    x: LatticePoint,
-    tie_break: str = "lexicographic",
+    cell: VoronoiCellData, t: Target, x: LatticePoint
 ) -> tuple[LatticePoint, PathTrace]:
     """Walk to the target cell via waypoints spaced <= 2 in the cell norm.
 
@@ -261,7 +246,7 @@ def mv_walk(
     for j in range(1, k + 1):
         frac_j = Fraction(j, k)
         way = tuple(xi + frac_j * di for xi, di in zip(x.ambient, delta))
-        w, tr = line_follow(cell, prev, way, w, phase=PHASE_SHIFTED, tie_break=tie_break)
+        w, tr = line_follow(cell, prev, way, w, phase=PHASE_SHIFTED, tie_break="lexicographic")
         parts.append(tr)
         prev = way
     return w, _merge_traces(x, w, parts)
@@ -274,7 +259,6 @@ def randomized_straight_line(
     z_sample: Sequence[Fraction],
     alpha,
     max_edges: Optional[int] = None,
-    tie_break: str = "error",
 ) -> tuple[LatticePoint | Truncated, PathTrace]:
     """Three-phase randomized walk from x to the cell containing t + alpha*Z.
 
@@ -301,19 +285,14 @@ def randomized_straight_line(
     b1 = linalg.add(t.coords, z_sample)
     b2 = linalg.add(t.coords, linalg.scale(alpha, z_sample))
     try:
-        w1, tr1 = line_follow(
-            cell, a1, b1, x, phase=PHASE_SHIFTED, tie_break=tie_break, max_edges=max_edges
-        )
+        w1, tr1 = line_follow(cell, a1, b1, x, phase=PHASE_SHIFTED, max_edges=max_edges)
     except _EdgeBudget as eb:
         return TRUNCATED, PathTrace(start=x, final=eb.w, events=tuple(eb.events))
     remaining = None if max_edges is None else max_edges - len(tr1.events)
     try:
-        w2, tr2 = line_follow(
-            cell, b1, b2, w1, phase=PHASE_DESCENT, tie_break=tie_break, max_edges=remaining
-        )
+        w2, tr2 = line_follow(cell, b1, b2, w1, phase=PHASE_DESCENT, max_edges=remaining)
     except _EdgeBudget as eb:
-        partial = PathTrace(start=w1, final=eb.w, events=tuple(eb.events))
-        return TRUNCATED, _merge_traces(x, eb.w, [tr1, partial])
+        return TRUNCATED, PathTrace(start=x, final=eb.w, events=tr1.events + tuple(eb.events))
     return w2, _merge_traces(x, w2, [tr1, tr2])
 
 

@@ -68,10 +68,6 @@ class SampleStream:
         self.seed_seq = seed_seq
         self.gen = np.random.Generator(np.random.PCG64(seed_seq))
 
-    @classmethod
-    def from_config(cls, cfg: SamplerConfig, *path: int) -> "SampleStream":
-        return cls(np.random.SeedSequence(cfg.seed, spawn_key=tuple(path)))
-
     def child(self, *path: int) -> "SampleStream":
         return SampleStream(
             np.random.SeedSequence(
@@ -91,7 +87,8 @@ class SampleStream:
 
 
 def stream_for(cfg: SamplerConfig, *path: int) -> SampleStream:
-    return SampleStream.from_config(cfg, *path)
+    """The stream at spawn path `path` under the configured seed."""
+    return SampleStream(np.random.SeedSequence(cfg.seed, spawn_key=tuple(path)))
 
 
 def uniform_voronoi_rejection(
@@ -104,7 +101,7 @@ def uniform_voronoi_rejection(
     only while the cell volume is a workable fraction of the box volume, so
     it serves as the small-n reference for `uniform_sample`.
     """
-    stream = stream or SampleStream.from_config(cfg)
+    stream = stream or stream_for(cfg)
     n = cell.n
     r_up = linalg.sqrt_upper(cell.outer_radius_sq)
     m = 1 << cfg.precision_bits
@@ -129,7 +126,7 @@ def uniform_sample(
     Draws x = B a with dyadic coefficients a_j in [-1/2, 1/2) and returns
     x - y, where y is the iterative slicer's closest vector to x.
     """
-    stream = stream or SampleStream.from_config(cfg)
+    stream = stream or stream_for(cfg)
     bits = cfg.precision_bits
     half = 1 << (bits - 1)
     k = [stream.getrandbits(bits) - half for _ in range(cell.n)]
@@ -201,7 +198,7 @@ def laplace_voronoi_sample(
     That product has density proportional to e^{-||x||_V / theta}; the mean
     cell norm of the output is n * theta.
     """
-    stream = stream or SampleStream.from_config(cfg)
+    stream = stream or stream_for(cfg)
     r = gamma_sample(cell.n + 1, params.theta, stream)
     u = uniform_sample(cell, cfg, stream)
     rf = Fraction(r)

@@ -15,28 +15,15 @@ from typing import Iterator, Optional
 
 from . import linalg
 from .errors import ContractViolation, RestartLimitExceeded, TieDetected
-from .lattice import (
-    DEFAULT_DIM_CAP,
-    LatticeBasis,
-    LatticePoint,
-    Target,
-    covering_radius_upper,
-    qbar,
-)
+from .lattice import LatticeBasis, LatticePoint, Target, covering_radius_upper, qbar
 from .navigation import (
     TRUNCATED,
     PathTrace,
     count_crossings,
     randomized_straight_line,
 )
-from .oracles import DEFAULT_NODE_CAP
 from .sampling import SampleStream, SamplerConfig, stream_for, uniform_sample
-from .voronoi import (
-    RelevantVector,
-    VoronoiCellData,
-    compute_relevant_vectors,
-    membership,
-)
+from .voronoi import VoronoiCellData, compute_relevant_vectors, membership
 
 
 @dataclass(frozen=True)
@@ -51,23 +38,20 @@ class PreprocessedLattice:
 
     basis: LatticeBasis
     cell: VoronoiCellData
-    frame: tuple[RelevantVector, ...]
+    frame: tuple[LatticePoint, ...]
     frame_inverse: tuple[tuple[Fraction, ...], ...]
     frame_sum_sq: Fraction
     bits_basis: int
 
 
 def preprocess(
-    basis: LatticeBasis,
-    dim_cap: int = DEFAULT_DIM_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
-    cell: Optional[VoronoiCellData] = None,
+    basis: LatticeBasis, cell: Optional[VoronoiCellData] = None
 ) -> PreprocessedLattice:
     """Compute (or adopt) the cell data and select the rounding frame."""
     if cell is None:
-        cell = compute_relevant_vectors(basis, dim_cap=dim_cap, node_cap=node_cap)
+        cell = compute_relevant_vectors(basis)
     n = basis.n
-    frame: list[RelevantVector] = []
+    frame: list[LatticePoint] = []
     rows: list[list[Fraction]] = []
     for v in cell.vectors:
         trial = rows + [list(v.ambient)]

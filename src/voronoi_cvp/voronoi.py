@@ -22,41 +22,29 @@ from .errors import ContractViolation, InputError
 from .lattice import (
     DEFAULT_DIM_CAP,
     LatticeBasis,
+    LatticePoint,
     Target,
     basis_hash,
     coset_reps_mod2,
 )
-from .linalg import Vec
-
-
-@dataclass(frozen=True)
-class RelevantVector:
-    """A facet-inducing lattice vector with cached half squared norm."""
-
-    coeffs: tuple[int, ...]
-    ambient: Vec
-    half_norm_sq: Fraction
-
-    @property
-    def norm_sq(self) -> Fraction:
-        return 2 * self.half_norm_sq
 
 
 @dataclass(frozen=True)
 class VoronoiCellData:
-    """Preprocessing advice: the relevant vectors plus derived statistics.
+    """Preprocessing advice: the relevant vectors, which alone fix the cell.
 
     `vectors` is closed under negation and deterministically ordered
     (cosets in lexicographic order; within a coset the representative whose
-    leading nonzero coefficient is positive comes first).
+    leading nonzero coefficient is positive comes first).  Derived from it:
+    `lambda1_sq` = min ||v||^2 (so r^2 = lambda1_sq / 4 gives r B_2 inside
+    the cell) and `outer_radius_sq` = R^2 = (n/4) max ||v||^2 (cell inside
+    R B_2).
     """
 
     basis: LatticeBasis
-    vectors: tuple[RelevantVector, ...]
-    lambda1_sq: Fraction
-    max_norm_sq: Fraction
-    inner_radius_sq: Fraction  # r^2 = lambda1^2 / 4, r B_2 inside the cell
-    outer_radius_sq: Fraction  # R^2 = (n/4) max ||v||^2, cell inside R B_2
+    vectors: tuple[LatticePoint, ...]
+    lambda1_sq: Fraction = field(init=False)
+    outer_radius_sq: Fraction = field(init=False)
 
     # integer-scaled mirrors of `vectors` for the hot paths
     _den: int = field(init=False, repr=False, compare=False, default=1)
@@ -75,7 +63,13 @@ class VoronoiCellData:
             linalg.scale_exact(v.ambient, den) for v in self.vectors
         )
         norm_int = tuple(linalg.dot_int(w, w) for w in vr_int)
+        if not norm_int:
+            raise ContractViolation("a Voronoi cell needs relevant vectors")
         rows_int = tuple(linalg.scale_exact(r, den) for r in self.basis.rows())
+        object.__setattr__(self, "lambda1_sq", Fraction(min(norm_int), den * den))
+        object.__setattr__(
+            self, "outer_radius_sq", Fraction(self.n * max(norm_int), 4 * den * den)
+        )
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_vr_int", vr_int)
         object.__setattr__(self, "_norm_int", norm_int)
@@ -106,9 +100,7 @@ class VoronoiCellData:
 
 
 def compute_relevant_vectors(
-    basis: LatticeBasis,
-    dim_cap: int = DEFAULT_DIM_CAP,
-    node_cap: int = oracles.DEFAULT_NODE_CAP,
+    basis: LatticeBasis, dim_cap: int = DEFAULT_DIM_CAP
 ) -> VoronoiCellData:
     """Find the relevant vectors by minimizing each nonzero coset of 2L.
 
@@ -116,45 +108,26 @@ def compute_relevant_vectors(
     exactly when its minimum-norm element is unique up to sign; ties mean
     the coset induces no facet.
     """
-    n = basis.n
-    reps = coset_reps_mod2(n, dim_cap)
     doubled = basis.scaled(2)
-    out: list[RelevantVector] = []
-    lambda1_sq = None
-    max_norm_sq = Fraction(0)
-    for p in reps:
+    out: list[LatticePoint] = []
+    for p in coset_reps_mod2(basis.n, dim_cap):
         c = basis.apply(p)
-        sols = oracles.cvp_bruteforce(doubled, Target(coords=c), node_cap=node_cap)
+        sols = oracles.cvp_bruteforce(doubled, Target(coords=c))
         # minimum-norm coset elements are c - z over closest z in 2L
         if len(sols.points) != 2:
             continue  # tied minimizers: no facet from this coset
-        cands = []
-        for z in sols.points:
-            coeffs = tuple(pi - 2 * ai for pi, ai in zip(p, z.coeffs))
-            ambient = linalg.sub(c, z.ambient)
-            cands.append((coeffs, ambient))
-        (c1, a1), (c2, a2) = cands
-        if tuple(-x for x in c1) != c2:
-            raise ContractViolation("coset minimizers are not a +- pair")
-        nsq = linalg.norm_sq(a1)
-        lead = next(x for x in c1 if x)
-        first, second = ((c1, a1), (c2, a2)) if lead > 0 else ((c2, a2), (c1, a1))
-        for coeffs, ambient in (first, second):
-            out.append(
-                RelevantVector(coeffs=coeffs, ambient=ambient, half_norm_sq=nsq / 2)
+        v1, v2 = (
+            LatticePoint(
+                coeffs=tuple(pi - 2 * ai for pi, ai in zip(p, z.coeffs)),
+                ambient=linalg.sub(c, z.ambient),
             )
-        lambda1_sq = nsq if lambda1_sq is None else min(lambda1_sq, nsq)
-        max_norm_sq = max(max_norm_sq, nsq)
-    if lambda1_sq is None:
-        raise ContractViolation("no relevant vectors found")
-    return VoronoiCellData(
-        basis=basis,
-        vectors=tuple(out),
-        lambda1_sq=lambda1_sq,
-        max_norm_sq=max_norm_sq,
-        inner_radius_sq=lambda1_sq / 4,
-        outer_radius_sq=Fraction(n, 4) * max_norm_sq,
-    )
+            for z in sols.points
+        )
+        if tuple(-x for x in v1.coeffs) != v2.coeffs:
+            raise ContractViolation("coset minimizers are not a +- pair")
+        lead = next(x for x in v1.coeffs if x)
+        out.extend((v1, v2) if lead > 0 else (v2, v1))
+    return VoronoiCellData(basis=basis, vectors=tuple(out))
 
 
 def voronoi_norm(cell: VoronoiCellData, x: Sequence[Fraction]) -> Fraction:
@@ -167,11 +140,6 @@ def membership(cell: VoronoiCellData, x: Sequence[Fraction]) -> bool:
     """Exact test that x lies in the (closed) cell."""
     x_int, dx = linalg.scaled_ints(linalg.vec(x))
     return cell.membership_scaled(x_int, dx)
-
-
-def sandwich_radii(cell: VoronoiCellData) -> tuple[Fraction, Fraction]:
-    """(r^2, R^2) with r B_2 inside the cell inside R B_2."""
-    return cell.inner_radius_sq, cell.outer_radius_sq
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +165,7 @@ def cell_from_obj(obj: dict, basis: LatticeBasis) -> VoronoiCellData:
 
     Ambient coordinates are recomputed from the basis; the cache is rejected
     if its hash does not match the basis or the structural invariants
-    (closure under negation, facet-count bound) fail.
+    (row length, facet-count bound, closure under negation) fail.
     """
     try:
         cached_hash = obj["basis_hash"]
@@ -211,29 +179,16 @@ def cell_from_obj(obj: dict, basis: LatticeBasis) -> VoronoiCellData:
         raise InputError("relevant-vector cache has wrong dimension")
     if not vr_coeffs or len(vr_coeffs) > 2 * (2**n - 1):
         raise InputError("relevant-vector cache has implausible size")
+    if any(len(c) != n for c in vr_coeffs):
+        raise InputError("relevant-vector cache has a row of the wrong length")
     seen = set(vr_coeffs)
     if any(tuple(-c for c in v) not in seen for v in vr_coeffs):
         raise InputError("relevant-vector cache is not closed under negation")
-    vectors = []
-    lambda1_sq = None
-    max_norm_sq = Fraction(0)
-    for coeffs in vr_coeffs:
-        if not any(coeffs):
-            raise InputError("relevant-vector cache contains the zero vector")
-        ambient = basis.apply(coeffs)
-        nsq = linalg.norm_sq(ambient)
-        vectors.append(
-            RelevantVector(coeffs=coeffs, ambient=ambient, half_norm_sq=nsq / 2)
-        )
-        lambda1_sq = nsq if lambda1_sq is None else min(lambda1_sq, nsq)
-        max_norm_sq = max(max_norm_sq, nsq)
+    if not all(any(c) for c in vr_coeffs):
+        raise InputError("relevant-vector cache contains the zero vector")
     return VoronoiCellData(
         basis=basis,
-        vectors=tuple(vectors),
-        lambda1_sq=lambda1_sq,
-        max_norm_sq=max_norm_sq,
-        inner_radius_sq=lambda1_sq / 4,
-        outer_radius_sq=Fraction(basis.n, 4) * max_norm_sq,
+        vectors=tuple(LatticePoint.from_coeffs(basis, c) for c in vr_coeffs),
     )
 
 

@@ -17,9 +17,7 @@ from voronoi_cvp import (
     SamplerConfig,
     Target,
     TieDetected,
-    TRUNCATED,
     compute_relevant_vectors,
-    count_crossings,
     cvp_bruteforce,
     enumerate_ball,
     graph_distance_bfs,
@@ -27,8 +25,6 @@ from voronoi_cvp import (
     membership,
     preprocess,
     query,
-    randomized_straight_line,
-    round_to_start,
     voronoi_norm,
 )
 from voronoi_cvp.experiments import (
@@ -43,9 +39,8 @@ from voronoi_cvp.lattice import (
     random_rational_basis,
     random_rational_target,
 )
-from voronoi_cvp.linalg import norm_sq, sub, vec
+from voronoi_cvp.linalg import norm_sq, sub
 from voronoi_cvp.sampling import (
-    SampleStream,
     gamma_factor_for_dimension,
     gamma_sample,
     stream_for,
@@ -155,7 +150,7 @@ def test_criterion_1_relevant_vector_correctness(random_corpus):
                 # independent enumeration: the coset v + 2L has no element of
                 # norm <= ||v|| besides +-v (strict minimality up to sign)
                 hits = enumerate_ball(
-                    doubled, tuple(-x for x in v.ambient), v.norm_sq
+                    doubled, tuple(-x for x in v.ambient), norm_sq(v.ambient)
                 )
                 got = {p.coeffs for p in hits}
                 assert got == {zero, tuple(-c for c in v.coeffs)}

@@ -259,6 +259,34 @@ def test_crossings_manifest_sidecar_and_json_format(tmp_path, capsys):
     assert len(obj["records"]) == 4
 
 
+TRIAL_KEYS = [
+    "row_type", "trial", "lattice_hash", "n", "target", "start", "strategy", "alpha",
+    "phase_b", "phase_c", "bound_b", "bound_c", "resamples", "seed", "wall_clock",
+    "manifest_hash",
+]
+SUMMARY_KEYS = [
+    "row_type", "trial", "lattice_hash", "n", "target", "start", "strategy", "alpha",
+    "bound_b", "bound_c", "seed", "wall_clock", "mean_b", "se_b", "verdict_b", "mean_c",
+    "se_c", "verdict_c", "manifest_hash",
+]
+
+
+def test_crossings_row_layout(tmp_path, capsys):
+    path = write_z2(tmp_path, capsys)
+    args = ["crossings", str(path), "--trials", "2", "--target", "7/4,1/3", "--seed", "3"]
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [list(r) for r in records] == [TRIAL_KEYS, TRIAL_KEYS, SUMMARY_KEYS]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "row_type,trial,lattice_hash,n,target,start,strategy,alpha,phase_b,phase_c,"
+        "bound_b,bound_c,resamples,seed,wall_clock,mean_b,se_b,verdict_b,mean_c,se_c,"
+        "verdict_c,manifest_hash"
+    )
+
+
 def test_crossings_jobs_match_sequential(tmp_path, capsys):
     path = write_z2(tmp_path, capsys)
     base = [
@@ -344,6 +372,42 @@ def test_solve_warns_on_stale_cache(tmp_path, capsys):
     res = json.loads(out)
     assert res["certified"] is True and res["oracle-match"] is True
     assert f"warning: ignoring relevant-vector cache {path}.vr.json:" in err
+
+
+def test_rejected_cache_is_rewritten(tmp_path, capsys):
+    path = write_z2(tmp_path, capsys)
+    run_cli(capsys, "preprocess", str(path))
+    path.write_text(json.dumps({"n": 2, "basis": [["2", "1"], ["0", "1"]]}))
+    warned = []
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "solve", str(path), "--target", "1/2,1/3", "--check")
+        assert code == 0
+        assert json.loads(out)["oracle-match"] is True
+        warned.append("warning: ignoring relevant-vector cache" in err)
+    assert warned == [True, False]
+
+
+def test_cache_row_of_wrong_length_is_ignored(tmp_path, capsys):
+    path = write_z2(tmp_path, capsys)
+    run_cli(capsys, "preprocess", str(path))
+    cache = tmp_path / "z2.json.vr.json"
+    obj = json.loads(cache.read_text())
+    obj["vr"] = [["1", "0", "0"], ["-1", "0", "0"]]
+    cache.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "solve", str(path), "--target", "1/2,1/3", "--check")
+    assert code == 0
+    assert json.loads(out)["oracle-match"] is True
+    assert "wrong length" in err
+
+
+def test_failed_cache_rewrite_only_warns(tmp_path, capsys):
+    path = write_z2(tmp_path, capsys)
+    (tmp_path / "z2.json.vr.json").mkdir()  # neither readable nor writable as a file
+    code, out, err = run_cli(capsys, "solve", str(path), "--target", "1/2,1/3", "--check")
+    assert code == 0
+    assert json.loads(out)["oracle-match"] is True
+    assert "warning: ignoring relevant-vector cache" in err
+    assert "warning: cannot rewrite relevant-vector cache" in err
 
 
 MALFORMED = {

@@ -13,7 +13,6 @@ from voronoi_cvp import (
     covering_radius_upper,
     encoding_length,
     encoding_length_int,
-    encoding_stats,
     qbar,
 )
 from voronoi_cvp import linalg
@@ -149,10 +148,9 @@ def test_bit_length_bound_on_random_instances():
     for _ in range(25):
         b = random_rational_basis(3, rng)
         t = random_rational_target(b, rng)
-        stats = encoding_stats(b, t)
         s = covering_radius_upper(b.columns)
-        bits = stats.bits_basis + stats.bits_target
-        assert stats.qbar**2 * s <= 4 ** (bits + 1)
+        bits = b.encoding_length + t.encoding_length
+        assert qbar(b, t) ** 2 * s <= 4 ** (bits + 1)
 
 
 def test_basis_file_round_trip(tmp_path):

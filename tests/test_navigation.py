@@ -38,12 +38,14 @@ def test_line_follow_two_crossings(z2_cell):
     assert [e.edge.coeffs for e in tr.events] == [(1, 0), (1, 0)]
     assert [e.alpha for e in tr.events] == [F(1, 5), F(7, 10)]
     # crossing points a + alpha (b - a) sit exactly on the facets they exit
+    before = z.ambient
     for e in tr.events:
         point = [ai + e.alpha * (bi - ai) for ai, bi in zip(a, b)]
         lhs = sum(
-            ve * (pe - we) for ve, pe, we in zip(e.edge.ambient, point, e.before.ambient)
+            ve * (pe - we) for ve, pe, we in zip(e.edge.ambient, point, before)
         )
-        assert lhs == e.edge.half_norm_sq
+        assert lhs == norm_sq(e.edge.ambient) / 2
+        before = tuple(w + v for w, v in zip(before, e.edge.ambient))
 
 
 def test_line_follow_trivial_segment(z2_cell):
@@ -218,13 +220,11 @@ def test_walks_are_valid_and_monotone(rand_lattices):
             x = LatticePoint.origin(n)
             y, tr = randomized_straight_line(cell, x, t, z, F(1, 64))
             # walk validity: consecutive centers differ by a relevant vector
-            prev = tr.start
+            prev = tr.start.coeffs
             for e in tr.events:
-                assert e.before.coeffs == prev.coeffs
-                step = tuple(b - a for a, b in zip(e.before.coeffs, e.after.coeffs))
-                assert step in vr_coeffs
-                prev = e.after
-            assert prev.coeffs == tr.final.coeffs
+                assert e.edge.coeffs in vr_coeffs
+                prev = tuple(a + b for a, b in zip(prev, e.edge.coeffs))
+            assert prev == tr.final.coeffs
             # exit times strictly increase within each phase
             for phase in "BC":
                 alphas = [e.alpha for e in tr.events if e.phase == phase]

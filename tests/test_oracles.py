@@ -15,6 +15,7 @@ from voronoi_cvp import (
     voronoi_norm,
 )
 from voronoi_cvp.lattice import random_rational_target
+from voronoi_cvp.linalg import norm_sq
 
 from conftest import make_rng
 
@@ -104,7 +105,7 @@ def test_lambda1_matches_min_relevant_vector(rand_lattices):
     for basis, cell in rand_lattices:
         lam, _ = shortest_vector(basis)
         assert lam == cell.lambda1_sq
-        assert lam == min(v.norm_sq for v in cell.vectors)
+        assert lam == min(norm_sq(v.ambient) for v in cell.vectors)
 
 
 def test_graph_distance_examples(z2_cell, z3_cell, z4_cell):

@@ -11,7 +11,6 @@ from voronoi_cvp import (
     cvp_bruteforce,
     enumerate_ball,
     membership,
-    sandwich_radii,
     shortest_vector,
     voronoi_norm,
 )
@@ -44,8 +43,7 @@ def test_integer_lattice_relevant_vectors():
 def test_one_dimensional_cell():
     cell = compute_relevant_vectors(LatticeBasis.from_rows([[Fraction(5, 2)]]))
     assert ambient_set(cell) == {(Fraction(5, 2),), (Fraction(-5, 2),)}
-    r_sq, big_r_sq = sandwich_radii(cell)
-    assert r_sq == big_r_sq == Fraction(25, 16)
+    assert cell.lambda1_sq / 4 == cell.outer_radius_sq == Fraction(25, 16)
 
 
 def test_even_sum_lattice_is_degenerate(skew2_cell):
@@ -58,7 +56,7 @@ def test_even_sum_lattice_is_degenerate(skew2_cell):
         (Fraction(-1), Fraction(1)),
     }
     assert skew2_cell.lambda1_sq == 2
-    assert sandwich_radii(skew2_cell) == (Fraction(1, 2), Fraction(1))
+    assert (skew2_cell.lambda1_sq / 4, skew2_cell.outer_radius_sq) == (Fraction(1, 2), Fraction(1))
 
 
 def test_relevant_vector_bound_and_negation_closure(rand_lattices):
@@ -93,7 +91,7 @@ def test_strict_coset_minimality_reverified(rand_lattices):
         doubled = basis.scaled(2)
         for v in cell.vectors[:6]:
             hits = enumerate_ball(
-                doubled, tuple(-x for x in v.ambient), v.norm_sq
+                doubled, tuple(-x for x in v.ambient), norm_sq(v.ambient)
             )
             got = {p.coeffs for p in hits}
             assert got == {tuple(0 for _ in v.coeffs), tuple(-c for c in v.coeffs)}
@@ -152,8 +150,7 @@ def test_sandwich_radii_probes(rand_lattices):
     rng = make_rng(18)
     for basis, cell in rand_lattices[:2]:
         n = basis.n
-        r_sq, big_r_sq = sandwich_radii(cell)
-        assert cell.lambda1_sq / 4 == r_sq
+        r_sq, big_r_sq = cell.lambda1_sq / 4, cell.outer_radius_sq
         for _ in range(8):
             u = vec(Fraction(int(rng.integers(-9, 10)), 8) for _ in range(n))
             if not any(u):
@@ -169,7 +166,7 @@ def test_sandwich_radii_probes(rand_lattices):
 
 
 def test_integer_lattice_sandwich(z4_cell):
-    assert sandwich_radii(z4_cell) == (Fraction(1, 4), Fraction(1))
+    assert (z4_cell.lambda1_sq / 4, z4_cell.outer_radius_sq) == (Fraction(1, 4), Fraction(1))
 
 
 def test_cache_round_trip(tmp_path, skew2_basis, skew2_cell):
@@ -194,6 +191,13 @@ def test_cache_rejects_tampering(skew2_basis, skew2_cell):
     obj = cell_to_obj(skew2_cell)
     obj["vr"] = obj["vr"][:1]  # breaks negation closure
     with pytest.raises(InputError):
+        cell_from_obj(obj, skew2_basis)
+
+
+def test_cache_rejects_row_of_wrong_length(skew2_basis, skew2_cell):
+    obj = cell_to_obj(skew2_cell)
+    obj["vr"] = [["1", "0", "0"], ["-1", "0", "0"]]  # closed under negation, n = 2
+    with pytest.raises(InputError, match="wrong length"):
         cell_from_obj(obj, skew2_basis)
 
 
