@@ -8,7 +8,8 @@ before and after.  The hash covers, on seeded lattices n = 2..4 plus Z^2
 - the relevant vectors (coefficients, ambient coordinates, lambda_1^2, R^2)
 - all four solve strategies, with their walk traces as JSON lines
 - randomized walks and queries under small edge budgets (truncations and
-  restart-limit errors included)
+  restart-limit errors included), and on Z^2 a walk whose descent leg
+  crosses twice, is cut by budgets, or ties
 - the crossing-trial rows
 - the CLI outputs of `gen`, `preprocess`, `solve --trace-out`,
   `crossings` (CSV and JSON, with manifest sidecars) and `graphdist`,
@@ -81,6 +82,15 @@ def _trace(trace) -> list:
     return [list(trace.start.coeffs), list(trace.final.coeffs), trace_to_jsonl(trace)]
 
 
+def _walk(cell, x, t, z, alpha, budget=None) -> list:
+    """A randomized walk's endpoint and trace, or its exact tie."""
+    try:
+        w, tr = randomized_straight_line(cell, x, t, z, alpha, max_edges=budget)
+        return [repr(w) if w is TRUNCATED else list(w.coeffs), _trace(tr)]
+    except TieDetected as e:
+        return ["tie", str(e), str(e.alpha), [list(v.coeffs) for v in e.tied]]
+
+
 def _lattices():
     rng = np.random.Generator(np.random.PCG64(20261018))
     out = [("Z2", LatticeBasis.identity(2))]
@@ -131,11 +141,7 @@ def library_outputs():
                 records.append((f"{tag}:{j}:{label}-from-origin",
                                 json.dumps([list(w.coeffs), _trace(tr)])))
             for budget in (0, 1, 3, 8, None):
-                try:
-                    w, tr = randomized_straight_line(cell, origin, t, z, alpha, max_edges=budget)
-                    out = [repr(w) if w is TRUNCATED else list(w.coeffs), _trace(tr)]
-                except TieDetected as e:
-                    out = ["tie", str(e), str(e.alpha), [list(v.coeffs) for v in e.tied]]
+                out = _walk(cell, origin, t, z, alpha, budget)
                 records.append((f"{tag}:{j}:walk-budget-{budget}", json.dumps(out)))
                 if budget is None:
                     continue
@@ -161,6 +167,16 @@ def library_outputs():
         randomized_straight_line(z2, LatticePoint.origin(2), Target.of([2, 2]), (0, 0), 1)
     except TieDetected as e:
         records.append(("Z2:tie", json.dumps([str(e), str(e.alpha), [list(v.coeffs) for v in e.tied]])))
+    # the descent leg on Z^2: one shifted-segment crossing, then two descent
+    # crossings (whole, and cut by edge budgets 2 and 1); with Z on the
+    # diagonal the descent passes the vertex (1/2, 1/2) after that crossing
+    x, t = LatticePoint.from_coeffs(z2.basis, (-1, 0)), Target.of([Fraction(5, 8)] * 2)
+    alpha = Fraction(1, 32)
+    for budget in (None, 2, 1):
+        out = _walk(z2, x, t, (Fraction(-1, 4), Fraction(-1, 5)), alpha, budget)
+        records.append((f"Z2:descent-budget-{budget}", json.dumps(out)))
+    out = _walk(z2, x, t, (Fraction(-1, 4), Fraction(-1, 4)), alpha)
+    records.append(("Z2:descent-tie", json.dumps(out)))
     return records
 
 

@@ -25,7 +25,7 @@ from .errors import (
     SizeCapError,
 )
 from .lattice import LatticeBasis, LatticePoint, Target
-from .navigation import write_trace_jsonl
+from .navigation import trace_to_jsonl
 from .oracles import cvp_bruteforce
 
 ENV_PREFIX = "VORONOI_CVP_"
@@ -321,11 +321,7 @@ def cmd_gen(args) -> int:
                 defect_cap=args.defect_cap,
             )
     obj = lattice.basis_to_obj(basis)
-    text = json.dumps(obj, indent=1) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, json.dumps(obj, indent=1) + "\n")
     manifest = _manifest(
         args,
         "gen",
@@ -408,7 +404,7 @@ def cmd_solve(args) -> int:
         out["oracle-match"] = oracle.dist_sq == dist_sq
         out["oracle_dist_sq"] = str(oracle.dist_sq)
     if args.trace_out and result.trace is not None:
-        write_trace_jsonl(result.trace, args.trace_out)
+        Path(args.trace_out).write_text(trace_to_jsonl(result.trace))
     _emit(args, json.dumps(out, indent=1) + "\n")
     return 0
 
@@ -448,7 +444,7 @@ def cmd_crossings(args) -> int:
     return 0
 
 
-def _parse_pairs(args, basis: LatticeBasis, cell) -> list[tuple[LatticePoint, LatticePoint]]:
+def _parse_pairs(args, basis: LatticeBasis) -> list[tuple[LatticePoint, LatticePoint]]:
     kind, arg = args.pairs
     n = basis.n
     origin = LatticePoint.origin(n)
@@ -488,7 +484,7 @@ def _parse_pairs(args, basis: LatticeBasis, cell) -> list[tuple[LatticePoint, La
 def cmd_graphdist(args) -> int:
     basis = lattice.read_basis(args.basis)
     cell = _load_or_compute_cell(args, basis, args.basis)
-    pairs = _parse_pairs(args, basis, cell)
+    pairs = _parse_pairs(args, basis)
     manifest = _manifest(
         args,
         "graphdist",
@@ -506,10 +502,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_attach_signed_values(argv))
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SizeCapError as e:

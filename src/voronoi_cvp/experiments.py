@@ -391,27 +391,21 @@ def solve_with_strategy(
         return query(pre, t, cfg)
     cell = pre.cell
     x = round_to_start(pre, t)
-    steps = 0
+    steps, trace = 0, None
     if strategy == "slicer":
         y, steps = iterative_slicer(cell, t, x)
-        trace = None
-        b = c = 0
-        edges = steps
     elif strategy == "mv":
         y, trace = mv_walk(cell, t, x)
-        b, c = count_crossings(trace)
-        edges = len(trace.events)
     else:  # deterministic-line
         y, trace = line_follow(
             cell, x.ambient, t.coords, x, tie_break="lexicographic"
         )
-        b, c = count_crossings(trace)
-        edges = len(trace.events)
+    b, c = count_crossings(trace) if trace is not None else (0, 0)
     return SolveResult(
         point=y,
         certified=certify(pre, t, y),
         restarts=0,
-        edges_total=edges,
+        edges_total=len(trace.events) if trace is not None else steps,
         phase_b=b,
         phase_c=c,
         seed=cfg.seed,

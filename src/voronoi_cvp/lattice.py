@@ -132,12 +132,6 @@ class LatticePoint:
     def origin(cls, n: int) -> "LatticePoint":
         return cls(coeffs=(0,) * n, ambient=linalg.zeros(n))
 
-    def shifted(self, delta_coeffs: Sequence[int], delta_ambient: Vec) -> "LatticePoint":
-        return LatticePoint(
-            coeffs=tuple(a + b for a, b in zip(self.coeffs, delta_coeffs)),
-            ambient=linalg.add(self.ambient, delta_ambient),
-        )
-
 
 @dataclass(frozen=True)
 class Target:

@@ -1,12 +1,13 @@
 """Path finding on the Voronoi graph.
 
 Walkers move between lattice points whose cells share a facet.  The central
-primitive is `line_follow`: starting inside a known cell, it tracks the
-sequence of cells a straight segment passes through, advancing an exact
-rational time parameter to the earliest facet-exit at each step.  Built on
-top of it are the greedy slicer, a waypoint walker, and the three-phase
-randomized straight-line walk (shift by a cell sample Z, follow the shifted
-segment, then descend from the shifted target to a truncation point).
+primitive is one leg loop: starting inside a known cell, it tracks the
+sequence of cells a polyline of straight legs passes through, advancing an
+exact rational time parameter to the earliest facet-exit at each step.
+Every line walk is a list of legs for it: `line_follow` (one segment), a
+waypoint walker, and the three-phase randomized straight-line walk (shift
+by a cell sample Z, follow the shifted segment, then descend from the
+shifted target to a truncation point).  The greedy slicer stands apart.
 
 Every comparison is exact; one step costs O(n |VR|) integer operations
 (quotients are compared by cross-multiplication, never divided out).
@@ -55,9 +56,6 @@ class PathTrace:
     final: LatticePoint
     events: tuple[CrossingEvent, ...]
 
-    def count(self, phase: str) -> int:
-        return sum(1 for e in self.events if e.phase == phase)
-
 
 class Truncated:
     """Marker result: the walk ran out of edge budget (a value, not an error)."""
@@ -71,17 +69,91 @@ TRUNCATED = Truncated()
 
 def count_crossings(trace: PathTrace) -> tuple[int, int]:
     """Per-phase crossing counts (shifted segment, descent)."""
-    return trace.count(PHASE_SHIFTED), trace.count(PHASE_DESCENT)
-
-
-class _EdgeBudget(Exception):
-    def __init__(self, w: LatticePoint, events: list[CrossingEvent]):
-        self.w = w
-        self.events = events
+    b = sum(1 for e in trace.events if e.phase == PHASE_SHIFTED)
+    return b, len(trace.events) - b
 
 
 def _point_from_scaled(coeffs: tuple[int, ...], w_int: Sequence[int], den: int) -> LatticePoint:
     return LatticePoint(coeffs=coeffs, ambient=tuple(Fraction(x, den) for x in w_int))
+
+
+def _follow_legs(
+    cell: VoronoiCellData,
+    z: LatticePoint,
+    legs: Sequence[tuple[tuple[Fraction, ...], tuple[Fraction, ...], str]],
+    tie_break: str = "error",
+    max_edges: Optional[int] = None,
+) -> tuple[LatticePoint | Truncated, PathTrace]:
+    """Follow a polyline of legs (a, b, phase), each leg starting at the last one's b.
+
+    The first a must lie in the cell of z; the caller checks that.  Only
+    relevant vectors v with <v, b-a> > 0 can ever be exited through; at
+    each step the exit time of every candidate facet is compared exactly
+    and the earliest one wins.  Returns the lattice point whose cell holds
+    the last b (checked exactly) and one event per facet passed, or
+    (TRUNCATED, trace so far) once `max_edges` crossings are used up.
+
+    An exact tie among earliest exits means the leg hits a lower
+    dimensional face.  With tie_break="error" this raises TieDetected, whose
+    alpha and step count within the leg, so the caller can resample its
+    randomness; "lexicographic" picks the tied edge with smallest
+    coefficient vector (exit times are then only non-decreasing).
+    """
+    den = cell._den
+    w_int = list(linalg.scale_exact(z.ambient, den))
+    coeffs = list(z.coeffs)
+    events: list[CrossingEvent] = []
+    for a, b, phase in legs:
+        a_int, da = linalg.scaled_ints(a)
+        d_int, dd = linalg.scaled_ints(linalg.sub(b, a))
+        leg_start = len(events)
+        # candidate exit facets: indices with positive direction component
+        cand = []
+        for idx, v_int in enumerate(cell._vr_int):
+            q = linalg.dot_int(v_int, d_int)
+            if q > 0:
+                cand.append((idx, v_int, q, linalg.dot_int(v_int, a_int)))
+        while cand:
+            best: list[tuple] = []
+            best_p = best_q = None
+            for idx, v_int, q, va in cand:
+                # exit time of facet idx is p/q up to the shared positive factor
+                p = cell._norm_int[idx] * da + 2 * da * linalg.dot_int(v_int, w_int) - 2 * den * va
+                if best_p is None or p * best_q < best_p * q:
+                    best_p, best_q = p, q
+                    best = [(idx, v_int, q, p)]
+                elif p * best_q == best_p * q:
+                    best.append((idx, v_int, q, p))
+            # alpha >= 1 <=> p * dd >= 2 * den * da * q: b is inside the current cell
+            if best_p * dd >= 2 * den * da * best_q:
+                break
+            if len(best) > 1:
+                tied = [cell.vectors[i] for i, _, _, _ in best]
+                alpha = Fraction(best_p * dd, 2 * den * da * best_q)
+                if tie_break == "error":
+                    raise TieDetected(tied, alpha, len(events) - leg_start)
+                best.sort(key=lambda item: cell.vectors[item[0]].coeffs)
+            if max_edges is not None and len(events) >= max_edges:
+                w = _point_from_scaled(tuple(coeffs), w_int, den)
+                return TRUNCATED, PathTrace(start=z, final=w, events=tuple(events))
+            idx, v_int, q, p = best[0]
+            edge = cell.vectors[idx]
+            for i in range(len(w_int)):
+                w_int[i] += v_int[i]
+                coeffs[i] += edge.coeffs[i]
+            events.append(
+                CrossingEvent(alpha=Fraction(p * dd, 2 * den * da * q), edge=edge, phase=phase)
+            )
+            if len(events) > HARD_STEP_LIMIT:
+                raise ContractViolation("line following exceeded the hard step limit")
+
+    # postcondition: the last b lies in the cell of w
+    b_int, db = linalg.scaled_ints(b)
+    rel_b = tuple(bi * den - wi * db for bi, wi in zip(b_int, w_int))
+    if not cell.membership_scaled(rel_b, db * den):
+        raise ContractViolation("line following ended outside the target cell")
+    w = _point_from_scaled(tuple(coeffs), w_int, den)
+    return w, PathTrace(start=z, final=w, events=tuple(events))
 
 
 def line_follow(
@@ -89,87 +161,22 @@ def line_follow(
     a: Sequence[Fraction],
     b: Sequence[Fraction],
     z: LatticePoint,
-    phase: str = PHASE_SHIFTED,
     tie_break: str = "error",
-    max_edges: Optional[int] = None,
 ) -> tuple[LatticePoint, PathTrace]:
     """Follow the segment from a to b through the cell tiling.
 
     Requires a to lie in the cell of z (checked exactly).  Returns the
     lattice point w whose cell contains b, with one recorded crossing per
-    facet passed.  Only relevant vectors v with <v, b-a> > 0 can ever be
-    exited through; at each step the exit time of every candidate facet is
-    compared exactly and the earliest one wins.
-
-    An exact tie among earliest exits means the segment hits a lower
-    dimensional face.  With tie_break="error" this raises TieDetected so the
-    caller can resample its randomness; "lexicographic" picks the tied edge
-    with smallest coefficient vector (deterministic, used by deterministic
-    callers; exit times are then only non-decreasing).
+    facet passed.  An exact tie among earliest exits means the segment hits
+    a lower dimensional face: with tie_break="error" this raises
+    TieDetected; "lexicographic" picks the tied edge with smallest
+    coefficient vector (deterministic, used by deterministic callers).
     """
     a = linalg.vec(a)
     b = linalg.vec(b)
-    den = cell._den
-    w_int = list(linalg.scale_exact(z.ambient, den))
-    a_int, da = linalg.scaled_ints(a)
-    # precondition: a in z + cell, i.e. (a - z) scaled by den*da is a member
-    rel = tuple(
-        ai * den - wi * da for ai, wi in zip(a_int, w_int)
-    )
-    if not cell.membership_scaled(rel, da * den):
+    if not membership(cell, linalg.sub(a, z.ambient)):
         raise ContractViolation("line_follow start point is not in the start cell")
-
-    d_int, dd = linalg.scaled_ints(linalg.sub(b, a))
-    coeffs = list(z.coeffs)
-    events: list[CrossingEvent] = []
-
-    # candidate exit facets: indices with positive direction component
-    cand = []
-    for idx, v_int in enumerate(cell._vr_int):
-        q = linalg.dot_int(v_int, d_int)
-        if q > 0:
-            cand.append((idx, v_int, q, linalg.dot_int(v_int, a_int)))
-
-    while cand:
-        best: list[tuple] = []
-        best_p = best_q = None
-        for idx, v_int, q, va in cand:
-            # exit time of facet idx is p/q up to the shared positive factor
-            p = cell._norm_int[idx] * da + 2 * da * linalg.dot_int(v_int, w_int) - 2 * den * va
-            if best_p is None or p * best_q < best_p * q:
-                best_p, best_q = p, q
-                best = [(idx, v_int, q, p)]
-            elif p * best_q == best_p * q:
-                best.append((idx, v_int, q, p))
-        # alpha >= 1 <=> p * dd >= 2 * den * da * q: b is inside the current cell
-        if best_p * dd >= 2 * den * da * best_q:
-            break
-        if len(best) > 1:
-            tied = [cell.vectors[i] for i, _, _, _ in best]
-            alpha = Fraction(best_p * dd, 2 * den * da * best_q)
-            if tie_break == "error":
-                raise TieDetected(tied, alpha, len(events))
-            best.sort(key=lambda item: cell.vectors[item[0]].coeffs)
-        if max_edges is not None and len(events) >= max_edges:
-            raise _EdgeBudget(_point_from_scaled(tuple(coeffs), w_int, den), events)
-        idx, v_int, q, p = best[0]
-        edge = cell.vectors[idx]
-        for i in range(len(w_int)):
-            w_int[i] += v_int[i]
-            coeffs[i] += edge.coeffs[i]
-        events.append(
-            CrossingEvent(alpha=Fraction(p * dd, 2 * den * da * q), edge=edge, phase=phase)
-        )
-        if len(events) > HARD_STEP_LIMIT:
-            raise ContractViolation("line_follow exceeded the hard step limit")
-
-    # postcondition: b lies in the cell of w
-    b_int, db = linalg.scaled_ints(b)
-    rel_b = tuple(bi * den - wi * db for bi, wi in zip(b_int, w_int))
-    if not cell.membership_scaled(rel_b, db * den):
-        raise ContractViolation("line_follow ended outside the target cell")
-    w = _point_from_scaled(tuple(coeffs), w_int, den)
-    return w, PathTrace(start=z, final=w, events=tuple(events))
+    return _follow_legs(cell, z, [(a, b, PHASE_SHIFTED)], tie_break=tie_break)
 
 
 def iterative_slicer(
@@ -216,40 +223,27 @@ def iterative_slicer(
     return _point_from_scaled(tuple(coeffs), w_int, den), steps
 
 
-def _empty_trace(x: LatticePoint) -> PathTrace:
-    return PathTrace(start=x, final=x, events=())
-
-
-def _merge_traces(start: LatticePoint, final: LatticePoint, parts: Sequence[PathTrace]) -> PathTrace:
-    events = tuple(e for p in parts for e in p.events)
-    return PathTrace(start=start, final=final, events=events)
-
-
 def mv_walk(
     cell: VoronoiCellData, t: Target, x: LatticePoint
 ) -> tuple[LatticePoint, PathTrace]:
     """Walk to the target cell via waypoints spaced <= 2 in the cell norm.
 
-    Places ceil(||t - x||_V / 2) waypoints along [x, t] and line-follows
-    each piece in turn; the lattice point reached for one waypoint seeds the
-    next piece.  Deterministic thanks to lexicographic tie handling (which
-    trades away the generic-position analysis, not correctness).
+    Places ceil(||t - x||_V / 2) waypoints along [x, t] and follows the
+    polyline through them, each waypoint's cell seeding the next piece.
+    Deterministic thanks to lexicographic tie handling (which trades away
+    the generic-position analysis, not correctness).
     """
     delta = linalg.sub(t.coords, x.ambient)
-    if membership(cell, delta):
-        return x, _empty_trace(x)
     dist = voronoi_norm(cell, delta)
+    if dist <= 1:  # t - x already in the cell
+        return x, PathTrace(start=x, final=x, events=())
     k = linalg.ceil_frac(dist / 2)
-    parts = []
-    w = x
-    prev = linalg.vec(x.ambient)
-    for j in range(1, k + 1):
-        frac_j = Fraction(j, k)
-        way = tuple(xi + frac_j * di for xi, di in zip(x.ambient, delta))
-        w, tr = line_follow(cell, prev, way, w, phase=PHASE_SHIFTED, tie_break="lexicographic")
-        parts.append(tr)
-        prev = way
-    return w, _merge_traces(x, w, parts)
+    ways = [
+        tuple(xi + Fraction(j, k) * di for xi, di in zip(x.ambient, delta))
+        for j in range(k + 1)
+    ]
+    legs = [(ways[j - 1], ways[j], PHASE_SHIFTED) for j in range(1, k + 1)]
+    return _follow_legs(cell, x, legs, tie_break="lexicographic")
 
 
 def randomized_straight_line(
@@ -273,27 +267,20 @@ def randomized_straight_line(
     exact ties raise TieDetected for the caller to resample Z.
     """
     z_sample = linalg.vec(z_sample)
+    # Z in the cell is exactly x + Z in the cell of x: phase B's start
     if not membership(cell, z_sample):
         raise ContractViolation("perturbation sample is not in the cell")
     alpha = linalg.frac(alpha)
     if not (0 < alpha <= 1):
         raise ContractViolation("alpha must lie in (0, 1]")
     if membership(cell, linalg.sub(t.coords, x.ambient)):
-        return x, _empty_trace(x)
+        return x, PathTrace(start=x, final=x, events=())
 
     a1 = linalg.add(x.ambient, z_sample)
     b1 = linalg.add(t.coords, z_sample)
     b2 = linalg.add(t.coords, linalg.scale(alpha, z_sample))
-    try:
-        w1, tr1 = line_follow(cell, a1, b1, x, phase=PHASE_SHIFTED, max_edges=max_edges)
-    except _EdgeBudget as eb:
-        return TRUNCATED, PathTrace(start=x, final=eb.w, events=tuple(eb.events))
-    remaining = None if max_edges is None else max_edges - len(tr1.events)
-    try:
-        w2, tr2 = line_follow(cell, b1, b2, w1, phase=PHASE_DESCENT, max_edges=remaining)
-    except _EdgeBudget as eb:
-        return TRUNCATED, PathTrace(start=x, final=eb.w, events=tr1.events + tuple(eb.events))
-    return w2, _merge_traces(x, w2, [tr1, tr2])
+    legs = [(a1, b1, PHASE_SHIFTED), (b1, b2, PHASE_DESCENT)]
+    return _follow_legs(cell, x, legs, max_edges=max_edges)
 
 
 def trace_to_jsonl(trace: PathTrace) -> str:
@@ -307,8 +294,3 @@ def trace_to_jsonl(trace: PathTrace) -> str:
             )
         )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_trace_jsonl(trace: PathTrace, path) -> None:
-    with open(path, "w") as f:
-        f.write(trace_to_jsonl(trace))

@@ -4,7 +4,6 @@ import pytest
 
 from voronoi_cvp import (
     ContractViolation,
-    LatticeBasis,
     LatticePoint,
     Target,
     TieDetected,
@@ -18,7 +17,7 @@ from voronoi_cvp import (
     randomized_straight_line,
     voronoi_norm,
 )
-from voronoi_cvp.linalg import ceil_frac, norm_sq, sub, vec
+from voronoi_cvp.linalg import ceil_frac, norm_sq, sub
 from voronoi_cvp.navigation import trace_to_jsonl
 from voronoi_cvp.sampling import SamplerConfig, stream_for, uniform_voronoi_rejection
 
@@ -98,6 +97,57 @@ def test_line_follow_budget(z2_cell):
     for e in tr.events:
         total = [a + b for a, b in zip(total, e.edge.coeffs)]
     assert tuple(s + d for s, d in zip(tr.start.coeffs, total)) == tr.final.coeffs
+
+
+# On Z^2 from x = (-1, 0) to t = (5/8, 5/8) with alpha = 1/32: the shifted
+# segment crosses once, then the descent crosses twice.
+DESCENT_X, DESCENT_T, DESCENT_Z = (-1, 0), (F(5, 8), F(5, 8)), (F(-1, 4), F(-1, 5))
+DESCENT_EVENTS = [("B", F(6, 13), (1, 0)), ("C", F(12, 31), (0, 1)), ("C", F(16, 31), (1, 0))]
+
+
+@pytest.mark.parametrize(
+    "budget, final, events",
+    [(None, (1, 1), 3), (2, (0, 1), 2), (1, (0, 0), 1)],
+)
+def test_edge_budget_spans_both_legs(z2_cell, budget, final, events):
+    x = LatticePoint.from_coeffs(z2_cell.basis, DESCENT_X)
+    y, tr = randomized_straight_line(
+        z2_cell, x, Target.of(DESCENT_T), DESCENT_Z, F(1, 32), max_edges=budget
+    )
+    assert (y is TRUNCATED) == (budget is not None)
+    assert tr.start == x and tr.final.coeffs == final
+    if y is not TRUNCATED:
+        assert y == tr.final
+    assert [(e.phase, e.alpha, e.edge.coeffs) for e in tr.events] == DESCENT_EVENTS[:events]
+
+
+def test_descent_tie_counts_its_step_within_the_leg(z2_cell):
+    # with Z on the diagonal the descent passes the vertex (1/2, 1/2) before
+    # its own first crossing, after one crossing on the shifted segment
+    x = LatticePoint.from_coeffs(z2_cell.basis, DESCENT_X)
+    with pytest.raises(TieDetected) as exc:
+        randomized_straight_line(z2_cell, x, Target.of(DESCENT_T), (F(-1, 4), F(-1, 4)), F(1, 32))
+    assert exc.value.step == 0
+    assert exc.value.alpha == F(16, 31)
+    assert {v.coeffs for v in exc.value.tied} == {(1, 0), (0, 1)}
+
+
+def test_walks_check_each_end_once(z2_cell, monkeypatch):
+    calls = []
+    check = type(z2_cell).membership_scaled
+    monkeypatch.setattr(
+        type(z2_cell), "membership_scaled", lambda *a: calls.append(1) or check(*a)
+    )
+    x = LatticePoint.from_coeffs(z2_cell.basis, DESCENT_X)
+    randomized_straight_line(z2_cell, x, Target.of(DESCENT_T), DESCENT_Z, F(1, 32))
+    # the sample (the start), the target-in-start-cell shortcut, the end
+    assert len(calls) == 3
+    calls.clear()
+    mv_walk(z2_cell, Target.of([F(16, 5), F(1, 10)]), LatticePoint.origin(2))
+    assert len(calls) == 1  # the end; the start is x itself
+    calls.clear()
+    line_follow(z2_cell, (F(1, 10), F(1, 10)), (F(21, 10), F(1, 10)), LatticePoint.origin(2))
+    assert len(calls) == 2
 
 
 def test_slicer_already_inside(z2_cell):

@@ -14,8 +14,8 @@ from voronoi_cvp import (
     shortest_vector,
     voronoi_norm,
 )
-from voronoi_cvp.lattice import Target, basis_hash
-from voronoi_cvp.linalg import add, norm_sq, scale, sub, sqrt_upper, vec
+from voronoi_cvp.lattice import Target
+from voronoi_cvp.linalg import add, norm_sq, scale, sqrt_upper, vec
 from voronoi_cvp.voronoi import cell_from_obj, cell_to_obj, load_cell, save_cell
 
 from conftest import make_rng
