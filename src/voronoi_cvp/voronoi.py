@@ -12,6 +12,7 @@ with v = v_int / D and x = x_int / Dx, the facet inequality becomes
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .lattice import (
     LatticePoint,
     Target,
     basis_hash,
+    canonical_json,
     coset_reps_mod2,
 )
 
@@ -146,12 +148,19 @@ def membership(cell: VoronoiCellData, x: Sequence[Fraction]) -> bool:
 # cache file
 
 
+def _checksum(obj: dict) -> str:
+    body = {k: obj[k] for k in ("basis_hash", "n", "vr")}
+    return hashlib.sha256(canonical_json(body)).hexdigest()
+
+
 def cell_to_obj(cell: VoronoiCellData) -> dict:
-    return {
+    obj = {
         "basis_hash": basis_hash(cell.basis),
         "n": cell.n,
         "vr": [[str(c) for c in v.coeffs] for v in cell.vectors],
     }
+    obj["checksum"] = _checksum(obj)
+    return obj
 
 
 def save_cell(cell: VoronoiCellData, path) -> None:
@@ -164,8 +173,10 @@ def cell_from_obj(obj: dict, basis: LatticeBasis) -> VoronoiCellData:
     """Rebuild a cell from cached coefficient vectors.
 
     Ambient coordinates are recomputed from the basis; the cache is rejected
-    if its hash does not match the basis or the structural invariants
-    (row length, facet-count bound, closure under negation) fail.
+    if its hash does not match the basis, if the structural invariants
+    (row length, facet-count bound, closure under negation) fail, or if its
+    sha256 checksum is missing or wrong: a truncated list that is still
+    closed under negation passes every other check and gives a larger cell.
     """
     try:
         cached_hash = obj["basis_hash"]
@@ -186,6 +197,8 @@ def cell_from_obj(obj: dict, basis: LatticeBasis) -> VoronoiCellData:
         raise InputError("relevant-vector cache is not closed under negation")
     if not all(any(c) for c in vr_coeffs):
         raise InputError("relevant-vector cache contains the zero vector")
+    if obj.get("checksum") != _checksum(obj):
+        raise InputError("relevant-vector cache checksum is missing or wrong")
     return VoronoiCellData(
         basis=basis,
         vectors=tuple(LatticePoint.from_coeffs(basis, c) for c in vr_coeffs),

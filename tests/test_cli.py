@@ -84,7 +84,7 @@ def test_preprocess_writes_cache_and_stats(tmp_path, capsys):
     assert stats["lambda1_sq"] == "1"
     assert (tmp_path / "z2.json.vr.json").exists()
     cache = json.loads((tmp_path / "z2.json.vr.json").read_text())
-    assert set(cache) == {"basis_hash", "n", "vr"}
+    assert set(cache) == {"basis_hash", "n", "vr", "checksum"}
     assert len(cache["vr"]) == 4
 
 
@@ -398,6 +398,41 @@ def test_cache_row_of_wrong_length_is_ignored(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["oracle-match"] is True
     assert "wrong length" in err
+
+
+def test_truncated_cache_is_rejected(tmp_path, capsys):
+    # dropping the relevant pair +-(1,-1) leaves a list closed under
+    # negation whose cell is larger than the Voronoi cell
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"n": 2, "basis": [["1", "1/2"], ["0", "1"]]}))
+    run_cli(capsys, "preprocess", str(path))
+    cache = tmp_path / "b.json.vr.json"
+    obj = json.loads(cache.read_text())
+    obj["vr"] = [r for r in obj["vr"] if r not in (["1", "-1"], ["-1", "1"])]
+    cache.write_text(json.dumps(obj))
+    argv = ("graphdist", str(path), "--pairs", "box:1", "--format", "json")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert "checksum" in err
+    (row,) = [r for r in json.loads(out)["records"] if r["y"] == "-1,1"]
+    assert (row["d_graph"], row["cell_norm"]) == (1, "2")
+    assert "warning" not in run_cli(capsys, *argv)[2]
+
+
+def test_cache_without_checksum_is_rewritten_once(tmp_path, capsys):
+    path = write_z2(tmp_path, capsys)
+    run_cli(capsys, "preprocess", str(path))
+    cache = tmp_path / "z2.json.vr.json"
+    obj = json.loads(cache.read_text())
+    del obj["checksum"]  # a cache written before the checksum existed
+    cache.write_text(json.dumps(obj))
+    warned = []
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "solve", str(path), "--target", "1/2,1/3")
+        assert code == 0
+        warned.append("checksum is missing or wrong" in err)
+    assert warned == [True, False]
+    assert "checksum" in json.loads(cache.read_text())
 
 
 def test_failed_cache_rewrite_only_warns(tmp_path, capsys):
