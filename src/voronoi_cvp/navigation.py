@@ -80,7 +80,7 @@ def _point_from_scaled(coeffs: tuple[int, ...], w_int: Sequence[int], den: int) 
 def _follow_legs(
     cell: VoronoiCellData,
     z: LatticePoint,
-    legs: Sequence[tuple[tuple[Fraction, ...], tuple[Fraction, ...], str]],
+    legs: Sequence[tuple[linalg.Vec, linalg.Vec, str]],
     tie_break: str = "error",
     max_edges: Optional[int] = None,
 ) -> tuple[LatticePoint | Truncated, PathTrace]:
@@ -242,7 +242,7 @@ def mv_walk(
         tuple(xi + Fraction(j, k) * di for xi, di in zip(x.ambient, delta))
         for j in range(k + 1)
     ]
-    legs = [(ways[j - 1], ways[j], PHASE_SHIFTED) for j in range(1, k + 1)]
+    legs = [(a, b, PHASE_SHIFTED) for a, b in zip(ways, ways[1:])]
     return _follow_legs(cell, x, legs, tie_break="lexicographic")
 
 
