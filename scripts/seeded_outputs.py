@@ -7,6 +7,8 @@ before and after.  The hash covers, on seeded lattices n = 2..4 plus Z^2
 
 - the relevant vectors (coefficients, ambient coordinates, lambda_1^2, R^2)
 - all four solve strategies, with their walk traces as JSON lines
+- for each seeded target, the query layers called directly: three
+  `uniform_sample` draws, the `round_to_start` start and `certify` on it
 - randomized walks and queries under small edge budgets (truncations and
   restart-limit errors included), and on Z^2 a walk whose descent leg
   crosses twice, is cut by budgets, or ties
@@ -44,7 +46,7 @@ from voronoi_cvp.lattice import random_rational_basis, random_rational_target
 from voronoi_cvp.navigation import TRUNCATED, line_follow, mv_walk, randomized_straight_line
 from voronoi_cvp.navigation import trace_to_jsonl
 from voronoi_cvp.sampling import stream_for, uniform_sample
-from voronoi_cvp.solver import QueryParams, make_query_params
+from voronoi_cvp.solver import QueryParams, certify, make_query_params, round_to_start
 
 WALL_CLOCK_KEYS = ("wall_clock", "timestamp")
 
@@ -128,6 +130,13 @@ def library_outputs():
                     "slicer_steps": res.slicer_steps,
                     "trace": None if res.trace is None else _trace(res.trace),
                 })))
+            x = round_to_start(pre, t)
+            draws = [uniform_sample(cell, cfg, stream_for(cfg, 8, i)) for i in range(3)]
+            records.append((f"{tag}:{j}:layers", json.dumps({
+                "start": [list(x.coeffs), [str(c) for c in x.ambient]],
+                "certify_start": certify(pre, t, x),
+                "samples": [[str(c) for c in z] for z in draws],
+            })))
             # walks from the origin, whole and under small edge budgets
             origin = LatticePoint.origin(basis.n)
             alpha = make_query_params(pre, t).alpha

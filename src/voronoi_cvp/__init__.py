@@ -39,12 +39,9 @@ from .navigation import (
 )
 from .oracles import CvpSolutionSet, cvp_bruteforce, enumerate_ball, graph_distance_bfs, shortest_vector
 from .sampling import (
-    LaplaceParams,
-    LaplaceSample,
     SampleStream,
     SamplerConfig,
     gamma_sample,
-    laplace_voronoi_sample,
     uniform_sample,
     uniform_voronoi_rejection,
 )

@@ -50,11 +50,14 @@ def encoding_length(data) -> int:
 class LatticeBasis:
     """Full-rank rational basis; columns generate the lattice.
 
-    `gram[i][j]` caches the inner product of columns i and j.
+    `gram[i][j]` caches the inner product of columns i and j.  `rows_int`
+    holds the rows of den * B, with `den` the least common denominator.
     """
 
     columns: tuple[Vec, ...]
     gram: tuple[Vec, ...]
+    den: int
+    rows_int: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -69,7 +72,8 @@ class LatticeBasis:
         gram = tuple(tuple(linalg.dot(a, b) for b in cols) for a in cols)
         if linalg.det(gram) == 0:
             raise InputError("basis columns are linearly dependent")
-        return cls(columns=cols, gram=gram)
+        rows_int, den = linalg.scaled_vectors(n, *zip(*cols))
+        return cls(columns=cols, gram=gram, den=den, rows_int=rows_int)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "LatticeBasis":
@@ -91,9 +95,15 @@ class LatticeBasis:
             tuple(self.columns[j][i] for j in range(self.n)) for i in range(self.n)
         )
 
+    def apply_int(self, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """den * B a: the lattice point with coefficients a, scaled to integers."""
+        if len(coeffs) != self.n:
+            raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
+        return tuple(linalg.dot_int(row, coeffs) for row in self.rows_int)
+
     def apply(self, coeffs: Sequence[int]) -> Vec:
         """Ambient coordinates of the lattice point with the given coefficients."""
-        return linalg.matvec_columns(self.columns, coeffs)
+        return tuple(Fraction(x, self.den) for x in self.apply_int(coeffs))
 
     def coefficients_of(self, point: Sequence[Fraction]) -> Vec:
         """Solve B a = point (a is rational for rational input)."""
@@ -102,14 +112,6 @@ class LatticeBasis:
     def scaled(self, factor) -> "LatticeBasis":
         f = frac(factor)
         return LatticeBasis.from_columns(tuple(linalg.scale(f, c) for c in self.columns))
-
-    @property
-    def denominator_lcm(self) -> int:
-        d = 1
-        for col in self.columns:
-            for x in col:
-                d = lcm(d, x.denominator)
-        return d
 
     @property
     def encoding_length(self) -> int:
@@ -154,7 +156,7 @@ class Target:
 
 def qbar(basis: LatticeBasis, target: Target | None = None) -> int:
     """Least positive integer clearing every denominator of the basis (and target)."""
-    d = basis.denominator_lcm
+    d = basis.den
     if target is not None:
         for x in target.coords:
             d = lcm(d, x.denominator)

@@ -65,27 +65,14 @@ def scaled_ints(u: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (d // x.denominator) for x in u), d
 
 
-def scale_exact(u: Sequence[Fraction], d: int) -> tuple[int, ...]:
-    """Entrywise ``u * d`` when that is integral; raises otherwise."""
-    out = []
-    for x in u:
-        num = x.numerator * d
-        if num % x.denominator:
-            raise ValueError(f"{x} * {d} is not integral")
-        out.append(num // x.denominator)
-    return tuple(out)
-
-
-def matvec_columns(columns: Sequence[Sequence[Fraction]], coeffs: Sequence) -> Vec:
-    """Linear combination sum_j coeffs[j] * columns[j]."""
-    n = len(columns[0])
-    acc = [Fraction(0)] * n
-    for c, col in zip(coeffs, columns, strict=True):
-        if c:
-            cf = frac(c)
-            for i, x in enumerate(col):
-                acc[i] += cf * x
-    return tuple(acc)
+def scaled_vectors(
+    n: int, *vectors: Sequence[Fraction]
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Scale n-vectors to integers over one denominator d: vectors[i] == k[i] / d."""
+    if any(len(v) != n for v in vectors):
+        raise ValueError(f"expected vectors of length {n}")
+    flat, d = scaled_ints([x for v in vectors for x in v])
+    return tuple(flat[i : i + n] for i in range(0, len(flat), n)), d
 
 
 def _eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], int]:

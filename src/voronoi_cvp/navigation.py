@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import ContractViolation, TieDetected
 from .lattice import LatticePoint, Target
-from .voronoi import VoronoiCellData, membership, voronoi_norm
+from .voronoi import VoronoiCellData
 
 PHASE_SHIFTED = "B"  # along the shifted segment [x+Z, t+Z]
 PHASE_DESCENT = "C"  # from t+Z down to the truncated endpoint t+alpha*Z
@@ -73,25 +73,23 @@ def count_crossings(trace: PathTrace) -> tuple[int, int]:
     return b, len(trace.events) - b
 
 
-def _point_from_scaled(coeffs: tuple[int, ...], w_int: Sequence[int], den: int) -> LatticePoint:
-    return LatticePoint(coeffs=coeffs, ambient=tuple(Fraction(x, den) for x in w_int))
-
-
 def _follow_legs(
     cell: VoronoiCellData,
     z: LatticePoint,
-    legs: Sequence[tuple[linalg.Vec, linalg.Vec, str]],
+    legs: Sequence[tuple[Sequence[int], Sequence[int], str]],
+    dl: int,
     tie_break: str = "error",
     max_edges: Optional[int] = None,
 ) -> tuple[LatticePoint | Truncated, PathTrace]:
     """Follow a polyline of legs (a, b, phase), each leg starting at the last one's b.
 
-    The first a must lie in the cell of z; the caller checks that.  Only
-    relevant vectors v with <v, b-a> > 0 can ever be exited through; at
-    each step the exit time of every candidate facet is compared exactly
-    and the earliest one wins.  Returns the lattice point whose cell holds
-    the last b (checked exactly) and one event per facet passed, or
-    (TRUNCATED, trace so far) once `max_edges` crossings are used up.
+    Leg ends are integers over one denominator `dl`.  The first a must lie
+    in the cell of z; the caller checks that.  Only relevant vectors v with
+    <v, b-a> > 0 can ever be exited through; at each step the exit time of
+    every candidate facet is compared exactly and the earliest one wins.
+    Returns the lattice point whose cell holds the last b (checked exactly)
+    and one event per facet passed, or (TRUNCATED, trace so far) once
+    `max_edges` crossings are used up.
 
     An exact tie among earliest exits means the leg hits a lower
     dimensional face.  With tie_break="error" this raises TieDetected, whose
@@ -99,60 +97,56 @@ def _follow_legs(
     randomness; "lexicographic" picks the tied edge with smallest
     coefficient vector (exit times are then only non-decreasing).
     """
-    den = cell._den
-    w_int = list(linalg.scale_exact(z.ambient, den))
+    den = cell.basis.den
+    w_int = list(cell.basis.apply_int(z.coeffs))
     coeffs = list(z.coeffs)
     events: list[CrossingEvent] = []
-    for a, b, phase in legs:
-        a_int, da = linalg.scaled_ints(a)
-        d_int, dd = linalg.scaled_ints(linalg.sub(b, a))
+    for a_int, b_int, phase in legs:
+        d_int = [bi - ai for ai, bi in zip(a_int, b_int)]
         leg_start = len(events)
         # candidate exit facets: indices with positive direction component
         cand = []
         for idx, v_int in enumerate(cell._vr_int):
             q = linalg.dot_int(v_int, d_int)
             if q > 0:
-                cand.append((idx, v_int, q, linalg.dot_int(v_int, a_int)))
+                cand.append((idx, v_int, q, 2 * den * linalg.dot_int(v_int, a_int)))
         while cand:
             best: list[tuple] = []
             best_p = best_q = None
             for idx, v_int, q, va in cand:
-                # exit time of facet idx is p/q up to the shared positive factor
-                p = cell._norm_int[idx] * da + 2 * da * linalg.dot_int(v_int, w_int) - 2 * den * va
+                # exit time of facet idx is p / (2 den q)
+                p = (cell._norm_int[idx] + 2 * linalg.dot_int(v_int, w_int)) * dl - va
                 if best_p is None or p * best_q < best_p * q:
                     best_p, best_q = p, q
                     best = [(idx, v_int, q, p)]
                 elif p * best_q == best_p * q:
                     best.append((idx, v_int, q, p))
-            # alpha >= 1 <=> p * dd >= 2 * den * da * q: b is inside the current cell
-            if best_p * dd >= 2 * den * da * best_q:
+            # alpha >= 1: b is inside the current cell
+            if best_p >= 2 * den * best_q:
                 break
             if len(best) > 1:
                 tied = [cell.vectors[i] for i, _, _, _ in best]
-                alpha = Fraction(best_p * dd, 2 * den * da * best_q)
+                alpha = Fraction(best_p, 2 * den * best_q)
                 if tie_break == "error":
                     raise TieDetected(tied, alpha, len(events) - leg_start)
                 best.sort(key=lambda item: cell.vectors[item[0]].coeffs)
             if max_edges is not None and len(events) >= max_edges:
-                w = _point_from_scaled(tuple(coeffs), w_int, den)
+                w = LatticePoint.from_coeffs(cell.basis, coeffs)
                 return TRUNCATED, PathTrace(start=z, final=w, events=tuple(events))
             idx, v_int, q, p = best[0]
             edge = cell.vectors[idx]
             for i in range(len(w_int)):
                 w_int[i] += v_int[i]
                 coeffs[i] += edge.coeffs[i]
-            events.append(
-                CrossingEvent(alpha=Fraction(p * dd, 2 * den * da * q), edge=edge, phase=phase)
-            )
+            events.append(CrossingEvent(alpha=Fraction(p, 2 * den * q), edge=edge, phase=phase))
             if len(events) > HARD_STEP_LIMIT:
                 raise ContractViolation("line following exceeded the hard step limit")
 
     # postcondition: the last b lies in the cell of w
-    b_int, db = linalg.scaled_ints(b)
-    rel_b = tuple(bi * den - wi * db for bi, wi in zip(b_int, w_int))
-    if not cell.membership_scaled(rel_b, db * den):
+    rel_b = tuple(bi * den - wi * dl for bi, wi in zip(b_int, w_int))
+    if not cell.membership_scaled(rel_b, dl * den):
         raise ContractViolation("line following ended outside the target cell")
-    w = _point_from_scaled(tuple(coeffs), w_int, den)
+    w = LatticePoint.from_coeffs(cell.basis, coeffs)
     return w, PathTrace(start=z, final=w, events=tuple(events))
 
 
@@ -172,29 +166,21 @@ def line_follow(
     TieDetected; "lexicographic" picks the tied edge with smallest
     coefficient vector (deterministic, used by deterministic callers).
     """
-    a = linalg.vec(a)
-    b = linalg.vec(b)
-    if not membership(cell, linalg.sub(a, z.ambient)):
+    vectors = (z.ambient, linalg.vec(a), linalg.vec(b))
+    (z_int, a_int, b_int), d = linalg.scaled_vectors(cell.n, *vectors)
+    if not cell.membership_scaled([ai - zi for ai, zi in zip(a_int, z_int)], d):
         raise ContractViolation("line_follow start point is not in the start cell")
-    return _follow_legs(cell, z, [(a, b, PHASE_SHIFTED)], tie_break=tie_break)
+    return _follow_legs(cell, z, [(a_int, b_int, PHASE_SHIFTED)], d, tie_break=tie_break)
 
 
-def iterative_slicer(
-    cell: VoronoiCellData, t: Target, z: LatticePoint, observer=None
-) -> tuple[LatticePoint, int]:
-    """Greedy descent: repeatedly add the relevant vector that most reduces
-    the exact squared distance to the target; stop when none improves.
-
-    When no relevant vector improves, the target lies in the cell of the
-    current point, which is therefore a closest lattice vector.  Each step
-    strictly decreases the distance, so the walk terminates.  An `observer`
-    callable, if given, receives each intermediate lattice point.
-    """
-    den = cell._den
-    t_int, dt = linalg.scaled_ints(t.coords)
+def slicer_scaled(
+    cell: VoronoiCellData, t_int: Sequence[int], dt: int, z: LatticePoint, observer=None
+) -> tuple[list[int], list[int], int]:
+    """`iterative_slicer` on t_int / dt: (coefficients, basis.den * point, steps)."""
+    den = cell.basis.den
     ds = linalg.lcm(den, dt)
     fz, ft = ds // den, ds // dt
-    w_int = list(linalg.scale_exact(z.ambient, den))
+    w_int = list(cell.basis.apply_int(z.coeffs))
     s_int = [wi * fz - ti * ft for wi, ti in zip(w_int, t_int)]  # (z - t) * ds
     coeffs = list(z.coeffs)
     steps = 0
@@ -217,10 +203,26 @@ def iterative_slicer(
             coeffs[i] += edge.coeffs[i]
         steps += 1
         if observer is not None:
-            observer(_point_from_scaled(tuple(coeffs), w_int, den))
+            observer(LatticePoint.from_coeffs(cell.basis, coeffs))
         if steps > HARD_STEP_LIMIT:
             raise ContractViolation("slicer exceeded the hard step limit")
-    return _point_from_scaled(tuple(coeffs), w_int, den), steps
+    return coeffs, w_int, steps
+
+
+def iterative_slicer(
+    cell: VoronoiCellData, t: Target, z: LatticePoint, observer=None
+) -> tuple[LatticePoint, int]:
+    """Greedy descent: repeatedly add the relevant vector that most reduces
+    the exact squared distance to the target; stop when none improves.
+
+    When no relevant vector improves, the target lies in the cell of the
+    current point, which is therefore a closest lattice vector.  Each step
+    strictly decreases the distance, so the walk terminates.  An `observer`
+    callable, if given, receives each intermediate lattice point.
+    """
+    (t_int,), dt = linalg.scaled_vectors(cell.n, t.coords)
+    coeffs, _, steps = slicer_scaled(cell, t_int, dt, z, observer)
+    return LatticePoint.from_coeffs(cell.basis, coeffs), steps
 
 
 def mv_walk(
@@ -233,17 +235,17 @@ def mv_walk(
     Deterministic thanks to lexicographic tie handling (which trades away
     the generic-position analysis, not correctness).
     """
-    delta = linalg.sub(t.coords, x.ambient)
-    dist = voronoi_norm(cell, delta)
+    (x_int, t_int), d = linalg.scaled_vectors(cell.n, x.ambient, t.coords)
+    dist = cell.norm_scaled([ti - xi for xi, ti in zip(x_int, t_int)], d)
     if dist <= 1:  # t - x already in the cell
         return x, PathTrace(start=x, final=x, events=())
     k = linalg.ceil_frac(dist / 2)
+    # waypoint j is ((k - j) x + j t) / k, over the denominator k d
     ways = [
-        tuple(xi + Fraction(j, k) * di for xi, di in zip(x.ambient, delta))
-        for j in range(k + 1)
+        [(k - j) * xi + j * ti for xi, ti in zip(x_int, t_int)] for j in range(k + 1)
     ]
     legs = [(a, b, PHASE_SHIFTED) for a, b in zip(ways, ways[1:])]
-    return _follow_legs(cell, x, legs, tie_break="lexicographic")
+    return _follow_legs(cell, x, legs, k * d, tie_break="lexicographic")
 
 
 def randomized_straight_line(
@@ -266,21 +268,24 @@ def randomized_straight_line(
     entirely.  Exceeding `max_edges` yields (TRUNCATED, partial trace);
     exact ties raise TieDetected for the caller to resample Z.
     """
-    z_sample = linalg.vec(z_sample)
+    vectors = (x.ambient, linalg.vec(z_sample), t.coords)
+    (x_int, z_int, t_int), d = linalg.scaled_vectors(cell.n, *vectors)
     # Z in the cell is exactly x + Z in the cell of x: phase B's start
-    if not membership(cell, z_sample):
+    if not cell.membership_scaled(z_int, d):
         raise ContractViolation("perturbation sample is not in the cell")
     alpha = linalg.frac(alpha)
     if not (0 < alpha <= 1):
         raise ContractViolation("alpha must lie in (0, 1]")
-    if membership(cell, linalg.sub(t.coords, x.ambient)):
+    if cell.membership_scaled([ti - xi for xi, ti in zip(x_int, t_int)], d):
         return x, PathTrace(start=x, final=x, events=())
 
-    a1 = linalg.add(x.ambient, z_sample)
-    b1 = linalg.add(t.coords, z_sample)
-    b2 = linalg.add(t.coords, linalg.scale(alpha, z_sample))
+    # the leg ends x + Z, t + Z and t + alpha Z over the denominator q d
+    p, q = alpha.numerator, alpha.denominator
+    a1 = [q * (xi + zi) for xi, zi in zip(x_int, z_int)]
+    b1 = [q * (ti + zi) for ti, zi in zip(t_int, z_int)]
+    b2 = [q * ti + p * zi for ti, zi in zip(t_int, z_int)]
     legs = [(a1, b1, PHASE_SHIFTED), (b1, b2, PHASE_DESCENT)]
-    return _follow_legs(cell, x, legs, max_edges=max_edges)
+    return _follow_legs(cell, x, legs, q * d, max_edges=max_edges)
 
 
 def trace_to_jsonl(trace: PathTrace) -> str:

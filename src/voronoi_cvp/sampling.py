@@ -1,4 +1,4 @@
-"""Random generation: uniform cell samples, Gamma and cell-Laplace draws.
+"""Random generation: uniform cell samples and Gamma radial draws.
 
 Uniform cell samples come from torus reduction.  A point x = B a with
 dyadic coefficients a_j = (k_j - 2^(b-1)) / 2^b, b = `precision_bits`, is
@@ -35,9 +35,9 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolation, SizeCapError
-from .lattice import LatticePoint, Target
+from .lattice import LatticePoint
 from .linalg import Vec
-from .navigation import iterative_slicer
+from .navigation import slicer_scaled
 from .voronoi import VoronoiCellData
 
 
@@ -130,10 +130,10 @@ def uniform_sample(
     bits = cfg.precision_bits
     half = 1 << (bits - 1)
     k = [stream.getrandbits(bits) - half for _ in range(cell.n)]
-    dx = cell._den << bits
-    x = tuple(Fraction(linalg.dot_int(row, k), dx) for row in cell._basis_rows_int)
-    y, _ = iterative_slicer(cell, Target(x), LatticePoint.origin(cell.n))
-    return linalg.sub(x, y.ambient)
+    dx = cell.basis.den << bits
+    x_int = cell.basis.apply_int(k)  # x = x_int / dx
+    _, y_int, _ = slicer_scaled(cell, x_int, dx, LatticePoint.origin(cell.n))
+    return tuple(Fraction(xi - (yi << bits), dx) for xi, yi in zip(x_int, y_int))
 
 
 # ---------------------------------------------------------------------------
@@ -161,47 +161,3 @@ def gamma_factor_for_dimension(n: int) -> float:
     if n < 2:
         raise ContractViolation("shrink factor is defined for n >= 2")
     return 1.0 / (1.0 + 2.0 * sqrt(2.0) / (sqrt(n + 1.0) - sqrt(2.0)))
-
-
-@dataclass(frozen=True)
-class LaplaceParams:
-    """Scale of the cell-norm exponential distribution (density ~ e^{-||x||_V / theta})."""
-
-    theta: float
-
-    def __post_init__(self):
-        if self.theta <= 0:
-            raise ContractViolation("theta must be positive")
-
-    @classmethod
-    def for_dimension(cls, n: int) -> "LaplaceParams":
-        return cls(theta=theta_for_dimension(n))
-
-
-@dataclass(frozen=True)
-class LaplaceSample:
-    """A draw decomposed as radial * cell_sample, certifying its support."""
-
-    point: Vec
-    radial: float
-    cell_sample: Vec
-
-
-def laplace_voronoi_sample(
-    cell: VoronoiCellData,
-    params: LaplaceParams,
-    cfg: SamplerConfig,
-    stream: Optional[SampleStream] = None,
-) -> LaplaceSample:
-    """Sample r * U with r ~ Gamma(n+1, theta) and U uniform on the cell.
-
-    That product has density proportional to e^{-||x||_V / theta}; the mean
-    cell norm of the output is n * theta.
-    """
-    stream = stream or stream_for(cfg)
-    r = gamma_sample(cell.n + 1, params.theta, stream)
-    u = uniform_sample(cell, cfg, stream)
-    rf = Fraction(r)
-    return LaplaceSample(
-        point=tuple(rf * ui for ui in u), radial=r, cell_sample=u
-    )

@@ -23,7 +23,7 @@ from .navigation import (
     randomized_straight_line,
 )
 from .sampling import SampleStream, SamplerConfig, stream_for, uniform_sample
-from .voronoi import VoronoiCellData, compute_relevant_vectors, membership
+from .voronoi import VoronoiCellData, compute_relevant_vectors
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,17 @@ class PreprocessedLattice:
     """Per-lattice advice: the cell plus a fixed independent frame from it.
 
     `frame` is the first linearly independent subset of the relevant
-    vectors in their canonical order; `frame_inverse` expresses targets in
-    frame coordinates for the rounding start.  `frame_sum_sq` =
-    sum ||v_i||^2 certifies the covering radius bound mu <= sqrt(sum)/2.
+    vectors in their canonical order; `frame_inverse_int` / `frame_den`,
+    the inverse of the frame matrix, expresses targets in frame coordinates
+    for the rounding start.  `frame_sum_sq` = sum ||v_i||^2 certifies the
+    covering radius bound mu <= sqrt(sum)/2.
     """
 
     basis: LatticeBasis
     cell: VoronoiCellData
     frame: tuple[LatticePoint, ...]
-    frame_inverse: tuple[tuple[Fraction, ...], ...]
+    frame_inverse_int: tuple[tuple[int, ...], ...]
+    frame_den: int
     frame_sum_sq: Fraction
     bits_basis: int
 
@@ -64,11 +66,13 @@ def preprocess(
         raise ContractViolation("relevant vectors do not span the space")
     # invert the matrix whose columns are the frame vectors
     frame_rows = tuple(tuple(frame[j].ambient[i] for j in range(n)) for i in range(n))
+    frame_inverse_int, frame_den = linalg.scaled_vectors(n, *linalg.inverse(frame_rows))
     return PreprocessedLattice(
         basis=basis,
         cell=cell,
         frame=tuple(frame),
-        frame_inverse=linalg.inverse(frame_rows),
+        frame_inverse_int=frame_inverse_int,
+        frame_den=frame_den,
         frame_sum_sq=covering_radius_upper([v.ambient for v in frame]),
         bits_basis=basis.encoding_length,
     )
@@ -80,8 +84,9 @@ def round_to_start(pre: PreprocessedLattice, t: Target) -> LatticePoint:
     Every frame vector has cell norm 2 and every rounding residual is at
     most 1/2, so the result is within cell-norm n of the target.
     """
-    coords = tuple(linalg.dot(row, t.coords) for row in pre.frame_inverse)
-    rounded = [round(a) for a in coords]
+    (t_int,), dt = linalg.scaled_vectors(pre.basis.n, t.coords)
+    d = pre.frame_den * dt
+    rounded = [round(Fraction(linalg.dot_int(row, t_int), d)) for row in pre.frame_inverse_int]
     coeffs = [0] * pre.basis.n
     for r, v in zip(rounded, pre.frame):
         for i, c in enumerate(v.coeffs):
@@ -137,7 +142,8 @@ class SolveResult:
 
 def certify(pre: PreprocessedLattice, t: Target, y: LatticePoint) -> bool:
     """Exact test that y is a closest lattice vector: t - y lies in the cell."""
-    return membership(pre.cell, linalg.sub(t.coords, y.ambient))
+    (t_int, y_int), d = linalg.scaled_vectors(pre.basis.n, t.coords, y.ambient)
+    return pre.cell.membership_scaled([ti - yi for ti, yi in zip(t_int, y_int)], d)
 
 
 def walks(

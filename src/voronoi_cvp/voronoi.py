@@ -6,8 +6,9 @@ intersection of the halfspaces <x, v> <= <v, v>/2 over relevant v, which
 makes membership and the cell norm exactly decidable for rational input.
 
 Hot paths (membership, norm) run on integer-scaled copies of the data:
-with v = v_int / D and x = x_int / Dx, the facet inequality becomes
-2 D <v_int, x_int> <= <v_int, v_int> Dx, a pure integer predicate.
+with v = v_int / D (D the basis's common denominator) and x = x_int / Dx,
+the facet inequality becomes 2 D <v_int, x_int> <= <v_int, v_int> Dx, a
+pure integer predicate.
 """
 
 from __future__ import annotations
@@ -48,34 +49,24 @@ class VoronoiCellData:
     lambda1_sq: Fraction = field(init=False)
     outer_radius_sq: Fraction = field(init=False)
 
-    # integer-scaled mirrors of `vectors` for the hot paths
-    _den: int = field(init=False, repr=False, compare=False, default=1)
+    # the relevant vectors scaled by basis.den, and their squared norms
     _vr_int: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
     _norm_int: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
-    # rows of den * B, so den * (B a) = (<row, a> for each row)
-    _basis_rows_int: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
 
     def __post_init__(self):
-        den = self.basis.denominator_lcm
-        vr_int = tuple(
-            linalg.scale_exact(v.ambient, den) for v in self.vectors
-        )
+        den = self.basis.den
+        vr_int = tuple(self.basis.apply_int(v.coeffs) for v in self.vectors)
         norm_int = tuple(linalg.dot_int(w, w) for w in vr_int)
         if not norm_int:
             raise ContractViolation("a Voronoi cell needs relevant vectors")
-        rows_int = tuple(linalg.scale_exact(r, den) for r in self.basis.rows())
         object.__setattr__(self, "lambda1_sq", Fraction(min(norm_int), den * den))
         object.__setattr__(
             self, "outer_radius_sq", Fraction(self.n * max(norm_int), 4 * den * den)
         )
-        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_vr_int", vr_int)
         object.__setattr__(self, "_norm_int", norm_int)
-        object.__setattr__(self, "_basis_rows_int", rows_int)
 
     @property
     def n(self) -> int:
@@ -83,7 +74,7 @@ class VoronoiCellData:
 
     def membership_scaled(self, x_int: Sequence[int], dx: int) -> bool:
         """Exact membership of the point x_int / dx (dx > 0)."""
-        den2 = 2 * self._den
+        den2 = 2 * self.basis.den
         for w, nv in zip(self._vr_int, self._norm_int):
             if den2 * linalg.dot_int(w, x_int) > nv * dx:
                 return False
@@ -92,7 +83,7 @@ class VoronoiCellData:
     def norm_scaled(self, x_int: Sequence[int], dx: int) -> Fraction:
         """Exact cell norm of the point x_int / dx (dx > 0)."""
         best_num, best_den = 0, 1
-        den2 = 2 * self._den
+        den2 = 2 * self.basis.den
         for w, nv in zip(self._vr_int, self._norm_int):
             num = den2 * linalg.dot_int(w, x_int)
             den = nv * dx
@@ -134,13 +125,13 @@ def compute_relevant_vectors(
 
 def voronoi_norm(cell: VoronoiCellData, x: Sequence[Fraction]) -> Fraction:
     """Smallest s >= 0 with x inside s times the cell: max_v 2 <v,x> / <v,v>."""
-    x_int, dx = linalg.scaled_ints(linalg.vec(x))
+    (x_int,), dx = linalg.scaled_vectors(cell.n, linalg.vec(x))
     return cell.norm_scaled(x_int, dx)
 
 
 def membership(cell: VoronoiCellData, x: Sequence[Fraction]) -> bool:
     """Exact test that x lies in the (closed) cell."""
-    x_int, dx = linalg.scaled_ints(linalg.vec(x))
+    (x_int,), dx = linalg.scaled_vectors(cell.n, linalg.vec(x))
     return cell.membership_scaled(x_int, dx)
 
 

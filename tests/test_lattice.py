@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from voronoi_cvp import (
@@ -105,6 +105,28 @@ def test_qbar_clears_denominators_minimally(tcoords, scale_den):
             (x * div).denominator == 1 for col in basis.columns for x in col
         )
         assert not cleared
+
+
+@st.composite
+def bases_and_coeffs(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    assume(linalg.det(rows) != 0)
+    coeffs = draw(st.lists(st.integers(-(10**6), 10**6), min_size=n, max_size=n))
+    return LatticeBasis.from_rows(rows), coeffs
+
+
+@given(bases_and_coeffs())
+def test_apply_is_the_column_combination(case):
+    basis, a = case
+    expected = [Fraction(0)] * basis.n
+    for aj, col in zip(a, basis.columns):
+        expected = [e + aj * x for e, x in zip(expected, col)]
+    assert basis.apply(a) == tuple(expected)
+    assert basis.apply_int(a) == tuple(basis.den * x for x in expected)
+    with pytest.raises(ValueError):
+        basis.apply(a + [0])
 
 
 def test_coset_reps_lexicographic():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -48,6 +49,10 @@ def test_scaled_ints_round_trip(xs):
     for x in xs:
         lcm = linalg.lcm(lcm, x.denominator)
     assert d == lcm
+    # scaled_vectors: the same scaling over several vectors of one length
+    assert linalg.scaled_vectors(len(xs), xs, xs[::-1]) == ((ints, ints[::-1]), d)
+    with pytest.raises(ValueError):
+        linalg.scaled_vectors(len(xs), xs, xs[1:])
 
 
 @st.composite

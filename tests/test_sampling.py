@@ -6,11 +6,9 @@ from scipy import stats as scipy_stats
 
 from voronoi_cvp import (
     ContractViolation,
-    LaplaceParams,
     SamplerConfig,
     SizeCapError,
     gamma_sample,
-    laplace_voronoi_sample,
     membership,
     uniform_sample,
     uniform_voronoi_rejection,
@@ -21,7 +19,7 @@ from voronoi_cvp.sampling import (
     stream_for,
     theta_for_dimension,
 )
-from voronoi_cvp.linalg import sub, vec
+from voronoi_cvp.linalg import vec
 
 F = Fraction
 
@@ -165,52 +163,6 @@ def test_scale_constants():
         )
     with pytest.raises(ContractViolation):
         theta_for_dimension(1)
-
-
-def test_laplace_mean_cell_norm(z2_cell):
-    params = LaplaceParams.for_dimension(2)
-    cfg = SamplerConfig(seed=51)
-    stream = stream_for(cfg, 0)
-    samples = [laplace_voronoi_sample(z2_cell, params, cfg, stream) for _ in range(600)]
-    # decomposition is exact: point = radial * cell_sample entrywise
-    for s in samples[:20]:
-        rf = Fraction(s.radial)
-        assert s.point == tuple(rf * u for u in s.cell_sample)
-        assert membership(z2_cell, s.cell_sample)
-    norms = [float(voronoi_norm(z2_cell, s.point)) for s in samples]
-    m, se = mean_se(norms)
-    assert abs(m - 2 * params.theta) <= 4 * se
-
-
-def test_laplace_concentrates_at_origin_for_tiny_theta(z2_cell):
-    cfg = SamplerConfig(seed=52)
-    stream = stream_for(cfg, 0)
-    params = LaplaceParams(theta=1e-3)
-    norms = [
-        float(
-            voronoi_norm(
-                z2_cell, laplace_voronoi_sample(z2_cell, params, cfg, stream).point
-            )
-        )
-        for _ in range(200)
-    ]
-    assert sum(norms) / len(norms) < 0.05
-
-
-def test_laplace_density_ratio_smoothness(z2_cell):
-    # the density is proportional to e^{-||x||_V / theta}, so the log-density
-    # difference of two points is (||y||_V - ||x||_V)/theta; the triangle
-    # inequality bounds it by ||x-y||_V / theta.  Checked exactly: no KDE
-    # tolerance is needed because the density is known in closed form.
-    params = LaplaceParams.for_dimension(2)
-    cfg = SamplerConfig(seed=53)
-    stream = stream_for(cfg, 0)
-    pts = [
-        laplace_voronoi_sample(z2_cell, params, cfg, stream).point for _ in range(40)
-    ]
-    for x, y in zip(pts, pts[1:]):
-        gap = abs(voronoi_norm(z2_cell, x) - voronoi_norm(z2_cell, y))
-        assert gap <= voronoi_norm(z2_cell, sub(x, y))
 
 
 def test_uniform_to_laplace_coupling_inclusion(z2_cell):

@@ -12,6 +12,7 @@ from voronoi_cvp import (
     certify,
     cvp_bruteforce,
     make_query_params,
+    membership,
     preprocess,
     query,
     round_to_start,
@@ -21,7 +22,7 @@ from voronoi_cvp import solver
 from voronoi_cvp.cli import main
 from voronoi_cvp.experiments import run_crossing_trials
 from voronoi_cvp.lattice import qbar, random_rational_target
-from voronoi_cvp.linalg import norm_sq, rank, sub
+from voronoi_cvp.linalg import dot, inverse, norm_sq, rank, sub
 from voronoi_cvp.sampling import stream_for
 from voronoi_cvp.solver import QueryParams
 
@@ -76,6 +77,34 @@ def test_round_half_to_even(z2_pre):
     assert round(F(1, 2)) == 0 and round(F(3, 2)) == 2
     x = round_to_start(z2_pre, Target.of([F(1, 2), F(3, 2)]))
     assert x.coeffs == (0, 2)
+    # a skewed rational basis whose frame inverse has denominators > 1,
+    # with targets at exact half-integer frame coordinates
+    pre = preprocess(LatticeBasis.from_rows([[2, F(1, 2)], [0, F(3, 2)]]))
+    frame = [[v.ambient[i] for v in pre.frame] for i in range(2)]
+    frame_inv = inverse(frame)
+    assert max(x.denominator for row in frame_inv for x in row) > 1
+    for h in ((F(1, 2), F(3, 2)), (F(-1, 2), F(5, 2)), (F(7, 2), F(-3, 2)), (F(5, 2), 1)):
+        t = Target.of([dot(row, h) for row in frame])
+        coords = [dot(row, t.coords) for row in frame_inv]
+        assert coords == list(h)
+        expected = [0, 0]
+        for c, v in zip(coords, pre.frame):
+            expected = [e + round(c) * vc for e, vc in zip(expected, v.coeffs)]
+        assert round_to_start(pre, t).coeffs == tuple(expected)
+
+
+def test_wrong_dimension_target_is_rejected(z2_pre):
+    # the query path scales a target together with lattice points, so a
+    # target of the wrong length must raise, not be read as a shorter one
+    for t in (Target.of([F(1, 3)]), Target.of([F(1, 3), 0, 1])):
+        for call in (
+            lambda: round_to_start(z2_pre, t),
+            lambda: certify(z2_pre, t, LatticePoint.origin(2)),
+            lambda: query(z2_pre, t, SamplerConfig(seed=1)),
+            lambda: membership(z2_pre.cell, t.coords),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_query_params_formula(skew2_basis):
