@@ -174,15 +174,15 @@ def line_follow(
 
 
 def slicer_scaled(
-    cell: VoronoiCellData, t_int: Sequence[int], dt: int, z: LatticePoint, observer=None
+    cell: VoronoiCellData, t_int: Sequence[int], dt: int, coeffs: Sequence[int], observer=None
 ) -> tuple[list[int], list[int], int]:
-    """`iterative_slicer` on t_int / dt: (coefficients, basis.den * point, steps)."""
+    """`iterative_slicer` on t_int / dt from `coeffs`: (coeffs, basis.den * point, steps)."""
     den = cell.basis.den
     ds = linalg.lcm(den, dt)
     fz, ft = ds // den, ds // dt
-    w_int = list(cell.basis.apply_int(z.coeffs))
+    w_int = list(cell.basis.apply_int(coeffs))
     s_int = [wi * fz - ti * ft for wi, ti in zip(w_int, t_int)]  # (z - t) * ds
-    coeffs = list(z.coeffs)
+    coeffs = list(coeffs)
     steps = 0
     while True:
         best_idx = None
@@ -221,7 +221,7 @@ def iterative_slicer(
     callable, if given, receives each intermediate lattice point.
     """
     (t_int,), dt = linalg.scaled_vectors(cell.n, t.coords)
-    coeffs, _, steps = slicer_scaled(cell, t_int, dt, z, observer)
+    coeffs, _, steps = slicer_scaled(cell, t_int, dt, z.coeffs, observer)
     return LatticePoint.from_coeffs(cell.basis, coeffs), steps
 
 

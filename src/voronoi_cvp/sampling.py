@@ -35,7 +35,6 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolation, SizeCapError
-from .lattice import LatticePoint
 from .linalg import Vec
 from .navigation import slicer_scaled
 from .voronoi import VoronoiCellData
@@ -132,7 +131,7 @@ def uniform_sample(
     k = [stream.getrandbits(bits) - half for _ in range(cell.n)]
     dx = cell.basis.den << bits
     x_int = cell.basis.apply_int(k)  # x = x_int / dx
-    _, y_int, _ = slicer_scaled(cell, x_int, dx, LatticePoint.origin(cell.n))
+    _, y_int, _ = slicer_scaled(cell, x_int, dx, (0,) * cell.n)
     return tuple(Fraction(xi - (yi << bits), dx) for xi, yi in zip(x_int, y_int))
 
 
