@@ -37,14 +37,8 @@ from .navigation import (
     mv_walk,
     randomized_straight_line,
 )
-from .oracles import CvpSolutionSet, cvp_bruteforce, enumerate_ball, graph_distance_bfs, shortest_vector
-from .sampling import (
-    SampleStream,
-    SamplerConfig,
-    gamma_sample,
-    uniform_sample,
-    uniform_voronoi_rejection,
-)
+from .oracles import CvpSolutionSet, cvp_bruteforce, enumerate_ball, graph_distance_bfs
+from .sampling import SampleStream, SamplerConfig, uniform_sample
 from .solver import (
     PreprocessedLattice,
     QueryParams,

@@ -151,11 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["integer-identity", "random-rational", "from-file"],
         required=True,
     )
-    g.add_argument("-n", "--dimension", type=int)
+    g.add_argument("-n", "--dimension", type=_int_at_least(1))
     g.add_argument("--source", help="input basis file for --kind from-file")
-    g.add_argument("--max-numerator", type=int, default=5)
-    g.add_argument("--max-denominator", type=int, default=3)
-    g.add_argument("--defect-cap", type=int, default=16)
+    g.add_argument("--max-numerator", type=_int_at_least(0), default=5)
+    g.add_argument("--max-denominator", type=_int_at_least(1), default=3)
+    g.add_argument("--defect-cap", type=_int_at_least(1), default=16)
     g.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("preprocess", parents=[common], help="compute the relevant vectors")
@@ -303,8 +303,8 @@ def cmd_gen(args) -> int:
             raise InputError("--kind from-file requires --source")
         basis = lattice.read_basis(args.source)  # validates rank
     else:
-        if not args.dimension or args.dimension < 1:
-            raise InputError("gen requires a positive -n")
+        if args.dimension is None:
+            raise InputError("gen requires -n")
         if args.dimension > args.dim_cap:
             raise SizeCapError(
                 f"dimension {args.dimension} exceeds cap {args.dim_cap}"

@@ -187,31 +187,33 @@ def covering_radius_upper(vectors: Sequence[Sequence[Fraction]]) -> Fraction:
 # file formats
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x)
-
-
 def basis_to_obj(basis: LatticeBasis) -> dict:
-    return {"n": basis.n, "basis": [[_fmt(x) for x in row] for row in basis.rows()]}
+    return {"n": basis.n, "basis": [[str(x) for x in row] for row in basis.rows()]}
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 def basis_from_obj(obj: dict) -> LatticeBasis:
     try:
         n = int(obj["n"])
-        rows = obj["basis"]
+        rows = [_json_list(r, "basis row") for r in _json_list(obj["basis"], "basis")]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed basis object: {e}") from None
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError("basis matrix shape does not match n")
     try:
         return LatticeBasis.from_rows([[Fraction(x) for x in row] for row in rows])
-    except (ValueError, ZeroDivisionError) as e:
+    except (TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational entry in basis: {e}") from None
 
 
 def target_from_obj(obj: dict) -> Target:
     try:
-        return Target.of([Fraction(x) for x in obj["t"]])
+        return Target.of([Fraction(x) for x in _json_list(obj["t"], "target")])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"malformed target object: {e}") from None
 

@@ -29,10 +29,6 @@ def zeros(n: int) -> Vec:
     return (Fraction(0),) * n
 
 
-def add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
@@ -181,17 +177,6 @@ def floor_of_sum_with_sqrt(m: Fraction, q: Fraction) -> int:
 def ceil_of_diff_with_sqrt(m: Fraction, q: Fraction) -> int:
     """ceil(m - sqrt(q)) computed exactly for rational m and q >= 0."""
     return -floor_of_sum_with_sqrt(-m, q)
-
-
-def sqrt_upper(q: Fraction) -> Fraction:
-    """A rational upper bound on sqrt(q), tight to within 1/denominator."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    s = q.numerator * q.denominator
-    u = isqrt(s)
-    if u * u == s:
-        return Fraction(u, q.denominator)
-    return Fraction(u + 1, q.denominator)
 
 
 def ceil_frac(x: Fraction) -> int:

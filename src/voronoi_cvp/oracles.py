@@ -32,7 +32,6 @@ def _ball_search(
     radius_sq: Fraction,
     node_cap: int,
     shrink: bool,
-    exclude_zero: bool,
 ) -> tuple[Fraction, list[tuple[int, ...]]]:
     """Enumerate coefficient vectors a with ||B a - center||^2 <= radius_sq.
 
@@ -53,8 +52,6 @@ def _ball_search(
 
     def recurse(level: int, used: Fraction) -> None:
         if level < 0:
-            if exclude_zero and all(zi + yi == 0 for zi, yi in zip(z, y)):
-                return
             if shrink and used < state["best"]:
                 state["best"] = used
                 state["out"] = []
@@ -99,24 +96,10 @@ def enumerate_ball(
     if r < 0:
         raise ValueError("radius_sq must be nonnegative")
     c = center.coords if isinstance(center, Target) else linalg.vec(center)
-    _, coeff_list = _ball_search(basis, c, r, node_cap, shrink=False, exclude_zero=False)
+    _, coeff_list = _ball_search(basis, c, r, node_cap, shrink=False)
     pts = [LatticePoint.from_coeffs(basis, a) for a in coeff_list]
     pts.sort(key=lambda p: p.coeffs)
     return pts
-
-
-def shortest_vector(
-    basis: LatticeBasis, node_cap: int = DEFAULT_NODE_CAP
-) -> tuple[Fraction, list[LatticePoint]]:
-    """Exact first minimum: (lambda_1^2, all +-minimizers)."""
-    n = basis.n
-    start_sq = min(basis.gram[j][j] for j in range(n))
-    best, coeff_list = _ball_search(
-        basis, linalg.zeros(n), start_sq, node_cap, shrink=True, exclude_zero=True
-    )
-    pts = [LatticePoint.from_coeffs(basis, a) for a in coeff_list]
-    pts.sort(key=lambda p: p.coeffs)
-    return best, pts
 
 
 def cvp_bruteforce(
@@ -131,9 +114,7 @@ def cvp_bruteforce(
     rounded = tuple(round(a) for a in y)
     seed_pt = basis.apply(rounded)
     seed_sq = linalg.norm_sq(linalg.sub(t.coords, seed_pt))
-    best, coeff_list = _ball_search(
-        basis, t.coords, seed_sq, node_cap, shrink=True, exclude_zero=False
-    )
+    best, coeff_list = _ball_search(basis, t.coords, seed_sq, node_cap, shrink=True)
     pts = [LatticePoint.from_coeffs(basis, a) for a in coeff_list]
     pts.sort(key=lambda p: p.coeffs)
     return CvpSolutionSet(dist_sq=best, points=tuple(pts))

@@ -1,4 +1,4 @@
-"""Random generation: uniform cell samples and Gamma radial draws.
+"""Random generation: seeded streams and uniform cell samples.
 
 Uniform cell samples come from torus reduction.  A point x = B a with
 dyadic coefficients a_j = (k_j - 2^(b-1)) / 2^b, b = `precision_bits`, is
@@ -12,12 +12,11 @@ start within Babai distance of the answer.
 
 Caveat: the paper's polynomial-time bound rests on a random-walk sampler.
 Torus reduction costs one slicer descent, which is fast in practice but has
-no polynomial bound in theory.  The rejection sampler stays as the small-n
-reference the tests compare against.
+no polynomial bound in theory.  The tests keep an exact rejection sampler
+as the small-n reference to compare against.
 
 Geometry stays exact: emitted points are dyadic-rational combinations of
-the basis.  Floating point is confined to the scalar distributions (Gamma
-radial factors).
+the basis, and no float enters the sampler.
 
 Randomness comes from numpy's PCG64; independent streams are derived from
 one 64-bit seed via SeedSequence spawn keys, so experiments are reproducible
@@ -28,13 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 from typing import Optional
 
 import numpy as np
 
-from . import linalg
-from .errors import ContractViolation, SizeCapError
+from .errors import ContractViolation
 from .linalg import Vec
 from .navigation import slicer_scaled
 from .voronoi import VoronoiCellData
@@ -47,13 +44,11 @@ MIN_PRECISION_BITS = 32
 class SamplerConfig:
     """Sampling knobs shared across the package.
 
-    `precision_bits` is the dyadic grid resolution of emitted points;
-    `rejection_attempt_cap` bounds the reference rejection sampler.
+    `precision_bits` is the dyadic grid resolution of emitted points.
     """
 
     seed: int = 0
     precision_bits: int = 128
-    rejection_attempt_cap: int = 200_000
 
     def __post_init__(self):
         if self.precision_bits < MIN_PRECISION_BITS:
@@ -81,40 +76,10 @@ class SampleStream:
             val = (val << 64) | int(w)
         return val & ((1 << k) - 1)
 
-    def exponential_sum(self, k: int) -> float:
-        return float(self.gen.standard_exponential(k).sum())
-
 
 def stream_for(cfg: SamplerConfig, *path: int) -> SampleStream:
     """The stream at spawn path `path` under the configured seed."""
     return SampleStream(np.random.SeedSequence(cfg.seed, spawn_key=tuple(path)))
-
-
-def uniform_voronoi_rejection(
-    cell: VoronoiCellData, cfg: SamplerConfig, stream: Optional[SampleStream] = None
-) -> Vec:
-    """Exactly uniform cell sample (up to the dyadic grid) by rejection.
-
-    Proposals are uniform over the bounding box [-R, R]^n from the outer
-    sandwich radius; each proposal is membership-tested exactly.  Feasible
-    only while the cell volume is a workable fraction of the box volume, so
-    it serves as the small-n reference for `uniform_sample`.
-    """
-    stream = stream or stream_for(cfg)
-    n = cell.n
-    r_up = linalg.sqrt_upper(cell.outer_radius_sq)
-    m = 1 << cfg.precision_bits
-    dx = r_up.denominator * m
-    p = r_up.numerator
-    for _ in range(cfg.rejection_attempt_cap):
-        x_int = tuple(
-            p * (2 * stream.getrandbits(cfg.precision_bits) - m + 1) for _ in range(n)
-        )
-        if cell.membership_scaled(x_int, dx):
-            return tuple(Fraction(xi, dx) for xi in x_int)
-    raise SizeCapError(
-        "rejection sampler exceeded its attempt cap; use uniform_sample (torus reduction)"
-    )
 
 
 def uniform_sample(
@@ -133,30 +98,3 @@ def uniform_sample(
     x_int = cell.basis.apply_int(k)  # x = x_int / dx
     _, y_int, _ = slicer_scaled(cell, x_int, dx, (0,) * cell.n)
     return tuple(Fraction(xi - (yi << bits), dx) for xi, yi in zip(x_int, y_int))
-
-
-# ---------------------------------------------------------------------------
-# scalar distributions
-
-
-def gamma_sample(k: int, theta: float, stream: SampleStream) -> float:
-    """Gamma(k, theta) draw for integer shape: sum of k exponential(theta)."""
-    if k < 1 or int(k) != k:
-        raise ContractViolation("gamma shape must be a positive integer")
-    if theta <= 0:
-        raise ContractViolation("gamma scale must be positive")
-    return theta * stream.exponential_sum(int(k))
-
-
-def theta_for_dimension(n: int) -> float:
-    """Radial scale making Gamma(n+1, theta) concentrate just above 1."""
-    if n < 2:
-        raise ContractViolation("radial scale is defined for n >= 2")
-    return 1.0 / ((n + 1) - sqrt(2.0 * (n + 1)))
-
-
-def gamma_factor_for_dimension(n: int) -> float:
-    """Shrink factor: with probability >= 1/2 the radial draw lies in [1, 1/factor]."""
-    if n < 2:
-        raise ContractViolation("shrink factor is defined for n >= 2")
-    return 1.0 / (1.0 + 2.0 * sqrt(2.0) / (sqrt(n + 1.0) - sqrt(2.0)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Optional
 
 from . import linalg
@@ -53,15 +54,25 @@ def preprocess(
     if cell is None:
         cell = compute_relevant_vectors(basis)
     n = basis.n
+    # B is nonsingular, so independence of the integer coefficient vectors
+    # is independence of the ambient vectors: reduce each candidate against
+    # a fraction-free echelon of the frame so far (pivot column, row), whose
+    # rows are divided by their gcd to keep the integers small.
     frame: list[LatticePoint] = []
-    rows: list[list[Fraction]] = []
+    echelon: list[tuple[int, list[int]]] = []
     for v in cell.vectors:
-        trial = rows + [list(v.ambient)]
-        if linalg.rank(trial) == len(trial):
-            frame.append(v)
-            rows = trial
-            if len(frame) == n:
-                break
+        r = list(v.coeffs)
+        for col, e in echelon:
+            if r[col]:
+                r = [e[col] * a - r[col] * b for a, b in zip(r, e)]
+        pivot = next((c for c, a in enumerate(r) if a), None)
+        if pivot is None:
+            continue
+        frame.append(v)
+        g = gcd(*r)
+        echelon.append((pivot, [a // g for a in r]))
+        if len(frame) == n:
+            break
     if len(frame) < n:
         raise ContractViolation("relevant vectors do not span the space")
     # invert the matrix whose columns are the frame vectors

@@ -1,9 +1,27 @@
+"""Shared fixtures and the reference tools the tests check the solver against.
+
+The reference tools have no caller in the package: an exact rejection
+sampler, Gamma radial draws and an exact shortest-vector oracle.
+"""
+
+from fractions import Fraction
+from math import isqrt, sqrt
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from voronoi_cvp import LatticeBasis, compute_relevant_vectors, preprocess
+from voronoi_cvp import (
+    ContractViolation,
+    LatticeBasis,
+    SizeCapError,
+    compute_relevant_vectors,
+    enumerate_ball,
+    preprocess,
+)
 from voronoi_cvp.lattice import random_rational_basis
+from voronoi_cvp.linalg import norm_sq
+from voronoi_cvp.sampling import stream_for
 
 settings.register_profile("exact", deadline=None, max_examples=60)
 settings.load_profile("exact")
@@ -11,6 +29,80 @@ settings.load_profile("exact")
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def add(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def sqrt_upper(q: Fraction) -> Fraction:
+    """A rational upper bound on sqrt(q), tight to within 1/denominator."""
+    if q < 0:
+        raise ValueError("negative radicand")
+    s = q.numerator * q.denominator
+    u = isqrt(s)
+    if u * u == s:
+        return Fraction(u, q.denominator)
+    return Fraction(u + 1, q.denominator)
+
+
+def uniform_voronoi_rejection(cell, cfg, stream=None, attempt_cap=200_000):
+    """Exactly uniform cell sample (up to the dyadic grid) by rejection.
+
+    Proposals are uniform over the bounding box [-R, R]^n from the outer
+    sandwich radius; each proposal is membership-tested exactly.  Feasible
+    only while the cell volume is a workable fraction of the box volume, so
+    it serves as the small-n reference for `uniform_sample`.
+    """
+    stream = stream or stream_for(cfg)
+    n = cell.n
+    r_up = sqrt_upper(cell.outer_radius_sq)
+    m = 1 << cfg.precision_bits
+    dx = r_up.denominator * m
+    p = r_up.numerator
+    for _ in range(attempt_cap):
+        x_int = tuple(
+            p * (2 * stream.getrandbits(cfg.precision_bits) - m + 1) for _ in range(n)
+        )
+        if cell.membership_scaled(x_int, dx):
+            return tuple(Fraction(xi, dx) for xi in x_int)
+    raise SizeCapError("rejection sampler exceeded its attempt cap")
+
+
+def gamma_sample(k: int, theta: float, stream) -> float:
+    """Gamma(k, theta) draw for integer shape: sum of k exponential(theta)."""
+    if k < 1 or int(k) != k:
+        raise ContractViolation("gamma shape must be a positive integer")
+    if theta <= 0:
+        raise ContractViolation("gamma scale must be positive")
+    return theta * float(stream.gen.standard_exponential(int(k)).sum())
+
+
+def theta_for_dimension(n: int) -> float:
+    """Radial scale making Gamma(n+1, theta) concentrate just above 1."""
+    if n < 2:
+        raise ContractViolation("radial scale is defined for n >= 2")
+    return 1.0 / ((n + 1) - sqrt(2.0 * (n + 1)))
+
+
+def gamma_factor_for_dimension(n: int) -> float:
+    """Shrink factor: with probability >= 1/2 the radial draw lies in [1, 1/factor]."""
+    if n < 2:
+        raise ContractViolation("shrink factor is defined for n >= 2")
+    return 1.0 / (1.0 + 2.0 * sqrt(2.0) / (sqrt(n + 1.0) - sqrt(2.0)))
+
+
+def shortest_vector(basis):
+    """Exact first minimum: (lambda_1^2, all +-minimizers).
+
+    Every lattice point in the ball of squared radius min_j G_jj is listed;
+    the shortest basis vector lies in it, so the ball holds every minimizer.
+    """
+    radius_sq = min(basis.gram[j][j] for j in range(basis.n))
+    ball = enumerate_ball(basis, (0,) * basis.n, radius_sq)
+    nonzero = [p for p in ball if any(p.coeffs)]
+    best = min(norm_sq(p.ambient) for p in nonzero)
+    return best, [p for p in nonzero if norm_sq(p.ambient) == best]
 
 
 @pytest.fixture(scope="session")

@@ -40,16 +40,15 @@ from voronoi_cvp.lattice import (
     random_rational_target,
 )
 from voronoi_cvp.linalg import norm_sq, sub
-from voronoi_cvp.sampling import (
+from voronoi_cvp.sampling import stream_for, uniform_sample
+
+from conftest import (
     gamma_factor_for_dimension,
     gamma_sample,
-    stream_for,
+    make_rng,
     theta_for_dimension,
-    uniform_sample,
     uniform_voronoi_rejection,
 )
-
-from conftest import make_rng
 
 F = Fraction
 

@@ -474,6 +474,39 @@ def test_malformed_flag_is_input_error(tmp_path, capsys, case):
     assert out == ""
 
 
+GEN_MALFORMED = {
+    "dimension": ["--kind", "integer-identity", "-n", "0"],
+    "dimension-text": ["--kind", "integer-identity", "-n", "x"],
+    "max-numerator": ["--kind", "random-rational", "-n", "2", "--max-numerator", "-1"],
+    "max-denominator": ["--kind", "random-rational", "-n", "2", "--max-denominator", "0"],
+    "defect-cap": ["--kind", "random-rational", "-n", "2", "--defect-cap", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEN_MALFORMED))
+def test_malformed_gen_flag_is_input_error(capsys, case):
+    code, out, err = run_cli(capsys, "gen", *GEN_MALFORMED[case])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_malformed_basis_and_target_objects_are_input_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "basis": [[1, 0], [0, None]]}))
+    code, out, err = run_cli(capsys, "solve", str(bad), "--target", "1/2,1/3")
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+    path = write_z2(tmp_path, capsys)
+    tfile = tmp_path / "t.json"
+    tfile.write_text(json.dumps({"t": "12"}))
+    code, out, err = run_cli(capsys, "solve", str(path), "--target-file", str(tfile))
+    assert code == 2
+    assert err.startswith("error: ") and "JSON list" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("name,value", [("PRECISION_BITS", "8"), ("FORMAT", "xml")])
 def test_malformed_env_value_is_input_error(tmp_path, capsys, monkeypatch, name, value):
     path = write_z2(tmp_path, capsys)

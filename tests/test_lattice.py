@@ -23,6 +23,7 @@ from voronoi_cvp.lattice import (
     random_rational_basis,
     random_rational_target,
     read_basis,
+    target_from_obj,
     write_basis,
 )
 
@@ -193,6 +194,28 @@ def test_singular_basis_rejected():
         LatticeBasis.from_rows([[1, 2], [2, 4]])
     with pytest.raises(InputError):
         basis_from_obj({"n": 2, "basis": [["1", "1"], ["1", "1"]]})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 2, "basis": [1, 2]},
+        {"n": 1, "basis": "5"},
+        {"n": 1, "basis": ["5"]},
+        {"n": 2, "basis": [[1, 0], [0, None]]},
+    ],
+)
+def test_malformed_basis_object_rejected(obj):
+    with pytest.raises(InputError):
+        basis_from_obj(obj)
+
+
+def test_target_object_must_hold_a_list():
+    with pytest.raises(InputError):
+        target_from_obj({"t": "12"})
+    with pytest.raises(InputError):
+        target_from_obj({"t": [1, None]})
+    assert target_from_obj({"t": ["1", "2"]}).coords == (1, 2)
 
 
 def test_from_rows_columns_consistency():

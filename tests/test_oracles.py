@@ -11,13 +11,12 @@ from voronoi_cvp import (
     enumerate_ball,
     graph_distance_bfs,
     membership,
-    shortest_vector,
     voronoi_norm,
 )
 from voronoi_cvp.lattice import random_rational_target
 from voronoi_cvp.linalg import norm_sq
 
-from conftest import make_rng
+from conftest import make_rng, shortest_vector
 
 
 def coeff_set(points):

@@ -8,18 +8,19 @@ from voronoi_cvp import (
     ContractViolation,
     SamplerConfig,
     SizeCapError,
-    gamma_sample,
     membership,
     uniform_sample,
-    uniform_voronoi_rejection,
     voronoi_norm,
 )
-from voronoi_cvp.sampling import (
-    gamma_factor_for_dimension,
-    stream_for,
-    theta_for_dimension,
-)
+from voronoi_cvp.sampling import stream_for
 from voronoi_cvp.linalg import vec
+
+from conftest import (
+    gamma_factor_for_dimension,
+    gamma_sample,
+    theta_for_dimension,
+    uniform_voronoi_rejection,
+)
 
 F = Fraction
 
@@ -59,11 +60,11 @@ def test_rejection_mean_cell_norm(z3_cell):
 
 
 def test_rejection_attempt_cap(z2_cell):
-    cfg = SamplerConfig(seed=13, rejection_attempt_cap=1)
+    cfg = SamplerConfig(seed=13)
     with pytest.raises(SizeCapError):
         # a single proposal in the bounding box almost surely misses the cell
         for i in range(64):
-            uniform_voronoi_rejection(z2_cell, cfg, stream_for(cfg, i))
+            uniform_voronoi_rejection(z2_cell, cfg, stream_for(cfg, i), attempt_cap=1)
 
 
 def test_sampler_determinism(z2_cell, rand_lattices):

@@ -54,6 +54,28 @@ def test_preprocess_degenerate_lattice(skew2_basis):
     assert pre.frame_sum_sq == 4  # two frame vectors of squared length 2
 
 
+def greedy_frame(cell):
+    """The first linearly independent prefix of the relevant vectors, by exact rank."""
+    frame, rows = [], []
+    for v in cell.vectors:
+        trial = rows + [list(v.ambient)]
+        if rank(trial) == len(trial):
+            frame.append(v)
+            rows = trial
+            if len(frame) == cell.n:
+                break
+    return tuple(frame)
+
+
+def test_frame_is_greedy_independent_prefix(
+    z2_cell, z3_cell, z4_cell, skew2_cell, rand_lattices, high_dim_cells
+):
+    cells = [z2_cell, z3_cell, z4_cell, skew2_cell]
+    cells += [cell for _, cell in rand_lattices] + list(high_dim_cells.values())
+    for cell in cells:
+        assert preprocess(cell.basis, cell=cell).frame == greedy_frame(cell)
+
+
 def test_round_to_start_examples(z2_pre):
     x = round_to_start(z2_pre, Target.of([F(3, 10), F(7, 10)]))
     assert x.coeffs == (0, 1)

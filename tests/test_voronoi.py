@@ -11,14 +11,13 @@ from voronoi_cvp import (
     cvp_bruteforce,
     enumerate_ball,
     membership,
-    shortest_vector,
     voronoi_norm,
 )
 from voronoi_cvp.lattice import Target
-from voronoi_cvp.linalg import add, norm_sq, scale, sqrt_upper, vec
+from voronoi_cvp.linalg import norm_sq, scale, vec
 from voronoi_cvp.voronoi import cell_from_obj, cell_to_obj, load_cell, save_cell
 
-from conftest import make_rng
+from conftest import add, make_rng, shortest_vector, sqrt_upper
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=32)
 
