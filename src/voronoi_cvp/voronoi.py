@@ -17,19 +17,20 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
-from . import linalg, oracles
-from .errors import ContractViolation, InputError
+from . import linalg
+from .errors import ContractViolation, InputError, SizeCapError
 from .lattice import (
     DEFAULT_DIM_CAP,
     LatticeBasis,
     LatticePoint,
-    Target,
     basis_hash,
     canonical_json,
     coset_reps_mod2,
 )
+from .oracles import DEFAULT_NODE_CAP
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,83 @@ class VoronoiCellData:
         return Fraction(best_num, best_den)
 
 
+def _integer_levels(basis: LatticeBasis) -> tuple[list, int]:
+    """Integer form of the LDL^T of G = (den B)^T (den B): (levels, M).
+
+    Level k holds (D_k, e_k, ((i, D_k L_ik) for i > k)) with D_k the least
+    common denominator of the L_ik and e_k = M d_k / D_k^2 over one M, so that
+    M a^T G a = sum_k e_k (D_k a_k + C_k)^2 with C_k = sum_{i>k} D_k L_ik a_i.
+    """
+    n = basis.n
+    cols = tuple(zip(*basis.rows_int))
+    L, d = linalg.ldl(
+        [[Fraction(linalg.dot_int(u, v)) for v in cols] for u in cols]
+    )
+    dens = []
+    for k in range(n):
+        dk = 1
+        for i in range(k + 1, n):
+            dk = linalg.lcm(dk, L[i][k].denominator)
+        dens.append(dk)
+    weights = [d[k] / (dens[k] * dens[k]) for k in range(n)]
+    m = 1
+    for w in weights:
+        m = linalg.lcm(m, w.denominator)
+    return [
+        (
+            dens[k],
+            int(weights[k] * m),
+            tuple((i, int(L[i][k] * dens[k])) for i in range(k + 1, n) if L[i][k]),
+        )
+        for k in range(n)
+    ], m
+
+
+def _class_minima(levels, bound: int, node_cap: int) -> dict:
+    """Per class of L/2L: the least scaled norm in the ball and its minimizers.
+
+    Visits every coefficient vector a with sum_k e_k (D_k a_k + C_k)^2 <= bound
+    whose last nonzero coefficient is positive (one of each +- pair), and
+    folds it into `minima[parity of a] = [norm, [a, ...]]` on the fly.
+    """
+    n = len(levels)
+    a = [0] * n
+    minima: dict = {}
+    nodes = 0
+
+    def visit(k: int, used: int, zero_above: bool) -> None:
+        nonlocal nodes
+        dk, ek, lk = levels[k]
+        c = sum(lik * a[i] for i, lik in lk)
+        s = isqrt((bound - used) // ek)
+        # |D_k a_k + C_k| <= s
+        lo, hi = -((s + c) // dk), (s - c) // dk
+        if zero_above:
+            lo = max(lo, 0 if k else 1)
+        nodes += max(0, hi - lo + 1)
+        if nodes > node_cap:
+            raise SizeCapError(f"relevant-vector ball search exceeded node cap {node_cap}")
+        for x in range(lo, hi + 1):
+            a[k] = x
+            t = dk * x + c
+            u = used + ek * t * t
+            if k:
+                visit(k - 1, u, zero_above and not x)
+                continue
+            key = tuple(v & 1 for v in a)
+            if not any(key):
+                continue
+            best = minima.get(key)
+            if best is None or u < best[0]:
+                minima[key] = [u, [tuple(a)]]
+            elif u == best[0]:
+                best[1].append(tuple(a))
+        a[k] = 0
+
+    visit(n - 1, 0, True)
+    return minima
+
+
 def compute_relevant_vectors(
     basis: LatticeBasis, dim_cap: int = DEFAULT_DIM_CAP
 ) -> VoronoiCellData:
@@ -99,27 +177,34 @@ def compute_relevant_vectors(
 
     A coset B p + 2L (p a nonzero 0/1 vector) contributes the pair +-v
     exactly when its minimum-norm element is unique up to sign; ties mean
-    the coset induces no facet.
+    the coset induces no facet.  All the coset minima come from one exact
+    integer ball search around the origin, whose squared radius grows by a
+    factor 1 + 1/n from the shortest basis vector's until every coset has a
+    point in it: every point outside the ball is longer, so each coset's
+    minimum, ties included, is then known.  Every coset meets the ball of
+    squared radius 4 mu^2 <= sum_j ||b_j||^2, which bounds the growth.
     """
-    doubled = basis.scaled(2)
+    reps = coset_reps_mod2(basis.n, dim_cap)
+    n = basis.n
+    levels, m = _integer_levels(basis)
+    norms = [linalg.dot_int(col, col) for col in zip(*basis.rows_int)]
+    radius, trace = min(norms), sum(norms)
+    while True:
+        minima = _class_minima(levels, radius * m, DEFAULT_NODE_CAP)
+        if len(minima) == len(reps):
+            break
+        if radius >= trace:
+            raise ContractViolation("a coset of 2L misses the covering ball")
+        radius = min(trace, -(-radius * (n + 1) // n))
     out: list[LatticePoint] = []
-    for p in coset_reps_mod2(basis.n, dim_cap):
-        c = basis.apply(p)
-        sols = oracles.cvp_bruteforce(doubled, Target(coords=c))
-        # minimum-norm coset elements are c - z over closest z in 2L
-        if len(sols.points) != 2:
+    for p in reps:
+        _, found = minima[p]
+        if len(found) != 1:
             continue  # tied minimizers: no facet from this coset
-        v1, v2 = (
-            LatticePoint(
-                coeffs=tuple(pi - 2 * ai for pi, ai in zip(p, z.coeffs)),
-                ambient=linalg.sub(c, z.ambient),
-            )
-            for z in sols.points
-        )
-        if tuple(-x for x in v1.coeffs) != v2.coeffs:
-            raise ContractViolation("coset minimizers are not a +- pair")
-        lead = next(x for x in v1.coeffs if x)
-        out.extend((v1, v2) if lead > 0 else (v2, v1))
+        v = LatticePoint.from_coeffs(basis, found[0])
+        w = LatticePoint.from_coeffs(basis, tuple(-x for x in v.coeffs))
+        lead = next(x for x in v.coeffs if x)
+        out.extend((v, w) if lead > 0 else (w, v))
     return VoronoiCellData(basis=basis, vectors=tuple(out))
 
 

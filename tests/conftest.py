@@ -1,7 +1,8 @@
 """Shared fixtures and the reference tools the tests check the solver against.
 
 The reference tools have no caller in the package: an exact rejection
-sampler, Gamma radial draws and an exact shortest-vector oracle.
+sampler, Gamma radial draws, an exact shortest-vector oracle and the
+per-coset relevant-vector search.
 """
 
 from fractions import Fraction
@@ -14,13 +15,17 @@ from hypothesis import settings
 from voronoi_cvp import (
     ContractViolation,
     LatticeBasis,
+    LatticePoint,
     SizeCapError,
+    Target,
+    VoronoiCellData,
     compute_relevant_vectors,
+    cvp_bruteforce,
     enumerate_ball,
     preprocess,
 )
-from voronoi_cvp.lattice import random_rational_basis
-from voronoi_cvp.linalg import norm_sq
+from voronoi_cvp.lattice import DEFAULT_DIM_CAP, coset_reps_mod2, random_rational_basis
+from voronoi_cvp.linalg import norm_sq, sub
 from voronoi_cvp.sampling import stream_for
 
 settings.register_profile("exact", deadline=None, max_examples=60)
@@ -103,6 +108,35 @@ def shortest_vector(basis):
     nonzero = [p for p in ball if any(p.coeffs)]
     best = min(norm_sq(p.ambient) for p in nonzero)
     return best, [p for p in nonzero if norm_sq(p.ambient) == best]
+
+
+def relevant_vectors_by_coset(basis, dim_cap=DEFAULT_DIM_CAP):
+    """Find the relevant vectors by minimizing each nonzero coset of 2L.
+
+    A coset B p + 2L (p a nonzero 0/1 vector) contributes the pair +-v
+    exactly when its minimum-norm element is unique up to sign; ties mean
+    the coset induces no facet.
+    """
+    doubled = basis.scaled(2)
+    out: list[LatticePoint] = []
+    for p in coset_reps_mod2(basis.n, dim_cap):
+        c = basis.apply(p)
+        sols = cvp_bruteforce(doubled, Target(coords=c))
+        # minimum-norm coset elements are c - z over closest z in 2L
+        if len(sols.points) != 2:
+            continue  # tied minimizers: no facet from this coset
+        v1, v2 = (
+            LatticePoint(
+                coeffs=tuple(pi - 2 * ai for pi, ai in zip(p, z.coeffs)),
+                ambient=sub(c, z.ambient),
+            )
+            for z in sols.points
+        )
+        if tuple(-x for x in v1.coeffs) != v2.coeffs:
+            raise ContractViolation("coset minimizers are not a +- pair")
+        lead = next(x for x in v1.coeffs if x)
+        out.extend((v1, v2) if lead > 0 else (v2, v1))
+    return VoronoiCellData(basis=basis, vectors=tuple(out))
 
 
 @pytest.fixture(scope="session")

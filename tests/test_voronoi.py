@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 from voronoi_cvp import (
     InputError,
     LatticeBasis,
+    SizeCapError,
     compute_relevant_vectors,
     cvp_bruteforce,
     enumerate_ball,
     membership,
     voronoi_norm,
 )
-from voronoi_cvp.lattice import Target
+from voronoi_cvp import voronoi
+from voronoi_cvp.lattice import DEFAULT_DIM_CAP, Target, random_rational_basis
 from voronoi_cvp.linalg import norm_sq, scale, vec
 from voronoi_cvp.voronoi import cell_from_obj, cell_to_obj, load_cell, save_cell
 
-from conftest import add, make_rng, shortest_vector, sqrt_upper
+from conftest import add, make_rng, relevant_vectors_by_coset, shortest_vector, sqrt_upper
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=32)
 
@@ -94,6 +96,51 @@ def test_strict_coset_minimality_reverified(rand_lattices):
             )
             got = {p.coeffs for p in hits}
             assert got == {tuple(0 for _ in v.coeffs), tuple(-c for c in v.coeffs)}
+
+
+# The hexagonal A2 has no rational basis in the plane; summed orthogonally
+# with the line through (1, 1, 1) it has one, and its three mixed cosets tie.
+A2_PLUS_LINE = LatticeBasis.from_rows([[1, 0, 1], [-1, 1, 1], [0, -1, 1]])
+# D4 = {x in Z^4 : sum of x even}; the cosets of 2 e_i tie.
+D4 = LatticeBasis.from_rows([[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 1], [0, 0, -1, 1]])
+
+
+def test_tie_lattices_drop_tied_cosets():
+    assert len(compute_relevant_vectors(A2_PLUS_LINE).vectors) == 8
+    d4 = compute_relevant_vectors(D4)
+    assert len(d4.vectors) == 24
+    assert all(norm_sq(v.ambient) == 2 for v in d4.vectors)
+
+
+def test_ball_search_matches_per_coset_reference(
+    skew2_basis, skew2_cell, rand_lattices, high_dim_cells
+):
+    # completeness as well as correctness: the same ordered list as the
+    # independent per-coset brute-force search, ties and the n = 8 case included
+    cells = [compute_relevant_vectors(LatticeBasis.identity(n)) for n in range(1, 6)]
+    cells += [skew2_cell, compute_relevant_vectors(LatticeBasis.from_rows([[Fraction(5, 2)]]))]
+    cells += [compute_relevant_vectors(b) for b in (A2_PLUS_LINE, D4)]
+    cells += [c for _, c in rand_lattices] + [high_dim_cells[n] for n in (6, 7)]
+    cells.append(compute_relevant_vectors(random_rational_basis(8, make_rng(8))))
+    for cell in cells:
+        expected = relevant_vectors_by_coset(cell.basis)
+        assert [v.coeffs for v in cell.vectors] == [v.coeffs for v in expected.vectors]
+        assert [v.ambient for v in cell.vectors] == [v.ambient for v in expected.vectors]
+
+
+def test_ball_search_caps(monkeypatch):
+    monkeypatch.setattr(voronoi, "DEFAULT_NODE_CAP", 3)
+    with pytest.raises(SizeCapError):
+        compute_relevant_vectors(LatticeBasis.identity(3))
+    # the dimension cap raises before any enumeration starts
+    def no_search(*args):
+        raise AssertionError("ball search started")
+
+    monkeypatch.setattr(voronoi, "_class_minima", no_search)
+    with pytest.raises(SizeCapError):
+        compute_relevant_vectors(LatticeBasis.identity(3), dim_cap=2)
+    with pytest.raises(SizeCapError):
+        compute_relevant_vectors(LatticeBasis.identity(DEFAULT_DIM_CAP + 1))
 
 
 def test_relevant_vectors_have_cell_norm_two(z3_cell, skew2_cell, rand_lattices):
