@@ -133,14 +133,24 @@ def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec:
 
 
 def inverse(matrix: Sequence[Sequence[Fraction]]) -> Mat:
+    """Inverse of a square nonsingular matrix: one Gauss-Jordan pass over [M | I]."""
     n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [Fraction(0)] * n
-        e[j] = Fraction(1)
-        cols.append(solve(matrix, e))
-    # cols[j] is the j-th column of the inverse
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    rows = [
+        [frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c]), None)
+        if p is None:
+            raise ValueError("matrix is singular")
+        rows[c], rows[p] = rows[p], rows[c]
+        pc = rows[c][c]
+        rows[c] = [a / pc for a in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def ldl(gram: Sequence[Sequence[Fraction]]) -> tuple[Mat, Vec]:

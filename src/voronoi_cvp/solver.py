@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from . import linalg
 from .errors import ContractViolation, RestartLimitExceeded, TieDetected
-from .lattice import LatticeBasis, LatticePoint, Target, covering_radius_upper, qbar
+from .lattice import LatticeBasis, LatticePoint, Target, qbar
 from .navigation import (
     TRUNCATED,
     PathTrace,
@@ -84,7 +84,7 @@ def preprocess(
         frame=tuple(frame),
         frame_inverse_int=frame_inverse_int,
         frame_den=frame_den,
-        frame_sum_sq=covering_radius_upper([v.ambient for v in frame]),
+        frame_sum_sq=sum((linalg.norm_sq(v.ambient) for v in frame), Fraction(0)),
         bits_basis=basis.encoding_length,
     )
 

@@ -80,6 +80,18 @@ def test_solve_and_inverse(m):
     assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def test_inverse_of_skewed_basis():
+    # the skewed basis of test_round_half_to_even, whose inverse has
+    # denominators > 1
+    m = ((Fraction(2), Fraction(1, 2)), (Fraction(0), Fraction(3, 2)))
+    inv = linalg.inverse(m)
+    assert inv == ((Fraction(1, 2), Fraction(-1, 6)), (Fraction(0), Fraction(2, 3)))
+    prod = [[sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+    assert prod == [[1, 0], [0, 1]]
+    with pytest.raises(ValueError):
+        linalg.inverse(((1, 2), (2, 4)))
+
+
 @given(square_matrices())
 def test_ldl_reconstructs_gram(m):
     n = len(m)
