@@ -17,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Sequence
 
 from . import linalg
@@ -93,36 +93,27 @@ class VoronoiCellData:
         return Fraction(best_num, best_den)
 
 
-def _integer_levels(basis: LatticeBasis) -> tuple[list, int]:
-    """Integer form of the LDL^T of G = (den B)^T (den B): (levels, M).
+def _integer_levels(gram: list[list[int]]) -> tuple[list, int]:
+    """Integer form of the LDL^T of an integer Gram matrix G: (levels, M).
 
     Level k holds (D_k, e_k, ((i, D_k L_ik) for i > k)) with D_k the least
     common denominator of the L_ik and e_k = M d_k / D_k^2 over one M, so that
     M a^T G a = sum_k e_k (D_k a_k + C_k)^2 with C_k = sum_{i>k} D_k L_ik a_i.
     """
-    n = basis.n
-    cols = tuple(zip(*basis.rows_int))
-    L, d = linalg.ldl(
-        [[Fraction(linalg.dot_int(u, v)) for v in cols] for u in cols]
-    )
-    dens = []
-    for k in range(n):
-        dk = 1
-        for i in range(k + 1, n):
-            dk = linalg.lcm(dk, L[i][k].denominator)
-        dens.append(dk)
+    n = len(gram)
+    L, d = linalg.ldl([[Fraction(x) for x in row] for row in gram])
+    dens = [lcm(*(L[i][k].denominator for i in range(k + 1, n))) for k in range(n)]
     weights = [d[k] / (dens[k] * dens[k]) for k in range(n)]
-    m = 1
-    for w in weights:
-        m = linalg.lcm(m, w.denominator)
-    return [
+    m = lcm(*(w.denominator for w in weights))
+    levels = [
         (
             dens[k],
             int(weights[k] * m),
             tuple((i, int(L[i][k] * dens[k])) for i in range(k + 1, n) if L[i][k]),
         )
         for k in range(n)
-    ], m
+    ]
+    return levels, m
 
 
 def _class_minima(levels, bound: int, node_cap: int) -> dict:
@@ -186,8 +177,10 @@ def compute_relevant_vectors(
     """
     reps = coset_reps_mod2(basis.n, dim_cap)
     n = basis.n
-    levels, m = _integer_levels(basis)
-    norms = [linalg.dot_int(col, col) for col in zip(*basis.rows_int)]
+    cols = tuple(zip(*basis.rows_int))  # the columns of den * B
+    gram = [[linalg.dot_int(u, v) for v in cols] for u in cols]
+    levels, m = _integer_levels(gram)
+    norms = [gram[j][j] for j in range(n)]
     radius, trace = min(norms), sum(norms)
     while True:
         minima = _class_minima(levels, radius * m, DEFAULT_NODE_CAP)
@@ -200,7 +193,7 @@ def compute_relevant_vectors(
     for p in reps:
         _, found = minima[p]
         if len(found) != 1:
-            continue  # tied minimizers: no facet from this coset
+            continue  # two or more +- pairs tie: no facet from this coset
         v = LatticePoint.from_coeffs(basis, found[0])
         w = LatticePoint.from_coeffs(basis, tuple(-x for x in v.coeffs))
         lead = next(x for x in v.coeffs if x)
