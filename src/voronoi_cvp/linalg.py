@@ -164,10 +164,10 @@ def ldl(gram: Sequence[Sequence[Fraction]]) -> tuple[Mat, Vec]:
     d = [Fraction(0)] * n
     for i in range(n):
         for j in range(i):
-            s = gram[i][j] - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
+            s = frac(gram[i][j]) - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
             L[i][j] = s / d[j]
         L[i][i] = Fraction(1)
-        d[i] = gram[i][i] - sum(L[i][k] * L[i][k] * d[k] for k in range(i))
+        d[i] = frac(gram[i][i]) - sum(L[i][k] * L[i][k] * d[k] for k in range(i))
         if d[i] <= 0:
             raise ValueError("matrix is not positive definite")
     return tuple(tuple(row) for row in L), tuple(d)

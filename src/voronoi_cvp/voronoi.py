@@ -101,7 +101,7 @@ def _integer_levels(gram: list[list[int]]) -> tuple[list, int]:
     M a^T G a = sum_k e_k (D_k a_k + C_k)^2 with C_k = sum_{i>k} D_k L_ik a_i.
     """
     n = len(gram)
-    L, d = linalg.ldl([[Fraction(x) for x in row] for row in gram])
+    L, d = linalg.ldl(gram)
     dens = [lcm(*(L[i][k].denominator for i in range(k + 1, n))) for k in range(n)]
     weights = [d[k] / (dens[k] * dens[k]) for k in range(n)]
     m = lcm(*(w.denominator for w in weights))
@@ -175,8 +175,8 @@ def compute_relevant_vectors(
     minimum, ties included, is then known.  Every coset meets the ball of
     squared radius 4 mu^2 <= sum_j ||b_j||^2, which bounds the growth.
     """
-    reps = coset_reps_mod2(basis.n, dim_cap)
     n = basis.n
+    reps = coset_reps_mod2(n, dim_cap)
     cols = tuple(zip(*basis.rows_int))  # the columns of den * B
     gram = [[linalg.dot_int(u, v) for v in cols] for u in cols]
     levels, m = _integer_levels(gram)

@@ -118,6 +118,13 @@ def test_ldl_reconstructs_gram(m):
     assert direct == via_ldl
 
 
+def test_ldl_of_integer_gram_is_exact():
+    # integer entries must not fall into float division
+    L, d = linalg.ldl([[2, 1], [1, 2]])
+    assert (L, d) == (((1, 0), (Fraction(1, 2), 1)), (2, Fraction(3, 2)))
+    assert all(isinstance(x, Fraction) for x in (*L[0], *L[1], *d))
+
+
 def test_rank_and_det_basics():
     assert linalg.rank([(1, 0), (2, 0)]) == 1
     assert linalg.rank([(1, 0), (0, 1)]) == 2
