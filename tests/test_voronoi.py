@@ -12,9 +12,9 @@ from voronoi_cvp import (
     cvp_bruteforce,
     enumerate_ball,
     membership,
+    voronoi,
     voronoi_norm,
 )
-from voronoi_cvp import voronoi
 from voronoi_cvp.lattice import DEFAULT_DIM_CAP, Target, random_rational_basis
 from voronoi_cvp.linalg import norm_sq, scale, vec
 from voronoi_cvp.voronoi import cell_from_obj, cell_to_obj, load_cell, save_cell
@@ -112,9 +112,7 @@ def test_tie_lattices_drop_tied_cosets():
     assert all(norm_sq(v.ambient) == 2 for v in d4.vectors)
 
 
-def test_ball_search_matches_per_coset_reference(
-    skew2_basis, skew2_cell, rand_lattices, high_dim_cells
-):
+def test_ball_search_matches_per_coset_reference(skew2_cell, rand_lattices, high_dim_cells):
     # completeness as well as correctness: the same ordered list as the
     # independent per-coset brute-force search, ties and the n = 8 case included
     cells = [compute_relevant_vectors(LatticeBasis.identity(n)) for n in range(1, 6)]
