@@ -13,6 +13,9 @@ before and after.  The hash covers, on seeded lattices n = 2..4 plus Z^2
   restart-limit errors included), and on Z^2 a walk whose descent leg
   crosses twice, is cut by budgets, or ties
 - the crossing-trial rows
+- `cvp_bruteforce` (distance and ordered minimizers) on every seeded
+  target and on tie targets: deep holes of Z^2 and D4, the facet
+  midpoints v/2 of A2 + line and D4, 0, a lattice point, and 1-D cases
 - the CLI outputs of `gen`, `preprocess`, `solve --trace-out`,
   `crossings` (CSV and JSON, with manifest sidecars) and `graphdist`,
   every file those commands write included
@@ -38,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from voronoi_cvp import LatticeBasis, LatticePoint, SamplerConfig, Target, TieDetected, cli
-from voronoi_cvp import preprocess, query
+from voronoi_cvp import compute_relevant_vectors, cvp_bruteforce, preprocess, query
 from voronoi_cvp.errors import RestartLimitExceeded
 from voronoi_cvp.experiments import STRATEGIES, crossing_rows, run_crossing_trials
 from voronoi_cvp.experiments import solve_with_strategy
@@ -93,6 +96,11 @@ def _walk(cell, x, t, z, alpha, budget=None) -> list:
         return ["tie", str(e), str(e.alpha), [list(v.coeffs) for v in e.tied]]
 
 
+def _cvp(basis, t) -> str:
+    sols = cvp_bruteforce(basis, t)
+    return json.dumps([str(sols.dist_sq), [list(p.coeffs) for p in sols.points]])
+
+
 def _lattices():
     rng = np.random.Generator(np.random.PCG64(20261018))
     out = [("Z2", LatticeBasis.identity(2))]
@@ -118,6 +126,7 @@ def library_outputs():
         for j in range(3):
             t = Target.of([c * (1 + 3 * j) for c in random_rational_target(basis, rng).coords])
             cfg = SamplerConfig(seed=1000 * k + j)
+            records.append((f"{tag}:{j}:cvp", _cvp(basis, t)))
             for strategy in STRATEGIES:
                 res = solve_with_strategy(pre, t, strategy, cfg)
                 records.append((f"{tag}:{j}:{strategy}", json.dumps({
@@ -170,6 +179,7 @@ def library_outputs():
         outcomes = run_crossing_trials(cell, x, t, alpha, 6, cfg)
         rows = crossing_rows(cell, x, t, alpha, outcomes, cfg.seed, "manifest")
         records.append((f"{tag}:crossings", json.dumps(_strip(rows), default=str)))
+        records.append((f"{tag}:crossings-cvp", _cvp(basis, t)))
     # an exact tie: the segment from 0 to (2, 2) passes a vertex of the Z^2 cell
     z2 = preprocess(LatticeBasis.identity(2)).cell
     try:
@@ -187,6 +197,26 @@ def library_outputs():
     out = _walk(z2, x, t, (Fraction(-1, 4), Fraction(-1, 4)), alpha)
     records.append(("Z2:descent-tie", json.dumps(out)))
     return records
+
+
+def cvp_outputs():
+    """(label, text) records of `cvp_bruteforce` on targets with ties."""
+    half = Fraction(1, 2)
+    a2_line = LatticeBasis.from_rows([[1, 0, 1], [-1, 1, 1], [0, -1, 1]])
+    d4 = LatticeBasis.from_rows([[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 1], [0, 0, -1, 1]])
+    line = LatticeBasis.from_rows([[Fraction(5, 2)]])
+    cases = [
+        ("Z2:deep-hole", LatticeBasis.identity(2), [half, half]),
+        ("D4:deep-hole", d4, [half] * 4),
+        ("line:midpoint", line, [Fraction(5, 4)]),
+        ("line:off", line, [Fraction(-7, 3)]),
+    ]
+    for name, basis in (("A2+line", a2_line), ("D4", d4)):
+        for i, v in enumerate(compute_relevant_vectors(basis).vectors):
+            cases.append((f"{name}:facet-{i}", basis, [c / 2 for c in v.ambient]))
+        cases.append((f"{name}:zero", basis, [0] * basis.n))
+        cases.append((f"{name}:point", basis, basis.apply([2, -1] + [1] * (basis.n - 2))))
+    return [(f"cvp:{label}", _cvp(basis, Target.of(c))) for label, basis, c in cases]
 
 
 def _run_cli(argv):
@@ -237,7 +267,7 @@ def cli_outputs():
 
 def main() -> int:
     h = hashlib.sha256()
-    for label, text in library_outputs() + cli_outputs():
+    for label, text in library_outputs() + cvp_outputs() + cli_outputs():
         h.update(label.encode() + b"\0" + text.encode() + b"\0")
     print(h.hexdigest())
     return 0

@@ -21,7 +21,6 @@ from .lattice import (
     LatticePoint,
     Target,
     coset_reps_mod2,
-    covering_radius_upper,
     encoding_length,
     encoding_length_int,
     qbar,
@@ -37,7 +36,7 @@ from .navigation import (
     mv_walk,
     randomized_straight_line,
 )
-from .oracles import CvpSolutionSet, cvp_bruteforce, enumerate_ball, graph_distance_bfs
+from .oracles import CvpSolutionSet, cvp_bruteforce, graph_distance_bfs
 from .sampling import SampleStream, SamplerConfig, uniform_sample
 from .solver import (
     PreprocessedLattice,

@@ -444,6 +444,18 @@ def cmd_crossings(args) -> int:
     return 0
 
 
+def _coeff_pair(row, n: int) -> list:
+    """One pairs-file row: two JSON lists of n integers (booleans are not integers)."""
+    if not (
+        isinstance(row, list)
+        and len(row) == 2
+        and all(isinstance(c, list) and len(c) == n for c in row)
+        and all(type(x) is int for c in row for x in c)
+    ):
+        raise ValueError(f"each row must be two lists of {n} integers, got {json.dumps(row)}")
+    return row
+
+
 def _parse_pairs(args, basis: LatticeBasis) -> list[tuple[LatticePoint, LatticePoint]]:
     kind, arg = args.pairs
     n = basis.n
@@ -471,11 +483,8 @@ def _parse_pairs(args, basis: LatticeBasis) -> list[tuple[LatticePoint, LatticeP
     with open(arg) as f:
         try:
             return [
-                (
-                    LatticePoint.from_coeffs(basis, [int(c) for c in a]),
-                    LatticePoint.from_coeffs(basis, [int(c) for c in b]),
-                )
-                for a, b in json.load(f)
+                tuple(LatticePoint.from_coeffs(basis, c) for c in _coeff_pair(row, n))
+                for row in json.load(f)
             ]
         except (TypeError, ValueError) as e:
             raise InputError(f"bad pairs file {arg}: {e}") from None

@@ -170,19 +170,6 @@ def coset_reps_mod2(n: int, dim_cap: int = DEFAULT_DIM_CAP) -> list[tuple[int, .
     return [p for p in product((0, 1), repeat=n) if any(p)]
 
 
-def covering_radius_upper(vectors: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Sum of squared lengths S of n independent lattice vectors.
-
-    The covering radius satisfies mu <= sqrt(S)/2; the caller keeps S
-    squared so everything stays rational.
-    """
-    vs = [vec(v) for v in vectors]
-    n = len(vs[0])
-    if len(vs) != n or linalg.rank(vs) != n:
-        raise InputError("need n linearly independent vectors")
-    return sum((linalg.norm_sq(v) for v in vs), Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # file formats
 

@@ -1,15 +1,15 @@
 """Exact linear algebra over rationals.
 
 Vectors are tuples of ``fractions.Fraction``; matrices are tuples of row
-tuples.  Everything here is exact: no floats, no square roots.  Square
-roots only ever appear as *integer bounds* (`floor_of_sum_with_sqrt`)
-used to turn a rational ball constraint into an integer interval.
+tuples.  Everything here is exact: no floats, no square roots.  The
+ball enumerator in `oracles` scales `ldl`'s output to integers and takes
+its square roots as exact `math.isqrt` bounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -97,14 +97,6 @@ def _eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     return rows, pivots, sign
 
 
-def rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    if not vectors:
-        return 0
-    rows = [[frac(x) for x in v] for v in vectors]
-    _, pivots, _ = _eliminate(rows)
-    return len(pivots)
-
-
 def det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(matrix)
     rows = [[frac(x) for x in row] for row in matrix]
@@ -171,22 +163,6 @@ def ldl(gram: Sequence[Sequence[Fraction]]) -> tuple[Mat, Vec]:
         if d[i] <= 0:
             raise ValueError("matrix is not positive definite")
     return tuple(tuple(row) for row in L), tuple(d)
-
-
-def floor_of_sum_with_sqrt(m: Fraction, q: Fraction) -> int:
-    """floor(m + sqrt(q)) computed exactly for rational m and q >= 0."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    mp, mq = m.numerator, m.denominator
-    qp, qq = q.numerator, q.denominator
-    s = qp * qq  # sqrt(q) == sqrt(s) / qq
-    u = isqrt(mq * mq * s)  # u <= mq * sqrt(s) < u + 1
-    return (mp * qq + u) // (mq * qq)
-
-
-def ceil_of_diff_with_sqrt(m: Fraction, q: Fraction) -> int:
-    """ceil(m - sqrt(q)) computed exactly for rational m and q >= 0."""
-    return -floor_of_sum_with_sqrt(-m, q)
 
 
 def ceil_frac(x: Fraction) -> int:

@@ -17,11 +17,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
 from typing import Sequence
 
 from . import linalg
-from .errors import ContractViolation, InputError, SizeCapError
+from .errors import ContractViolation, InputError
 from .lattice import (
     DEFAULT_DIM_CAP,
     LatticeBasis,
@@ -30,7 +29,7 @@ from .lattice import (
     canonical_json,
     coset_reps_mod2,
 )
-from .oracles import DEFAULT_NODE_CAP
+from .oracles import DEFAULT_NODE_CAP, _class_minima, _integer_gram, _integer_levels
 
 
 @dataclass(frozen=True)
@@ -93,74 +92,6 @@ class VoronoiCellData:
         return Fraction(best_num, best_den)
 
 
-def _integer_levels(gram: list[list[int]]) -> tuple[list, int]:
-    """Integer form of the LDL^T of an integer Gram matrix G: (levels, M).
-
-    Level k holds (D_k, e_k, ((i, D_k L_ik) for i > k)) with D_k the least
-    common denominator of the L_ik and e_k = M d_k / D_k^2 over one M, so that
-    M a^T G a = sum_k e_k (D_k a_k + C_k)^2 with C_k = sum_{i>k} D_k L_ik a_i.
-    """
-    n = len(gram)
-    L, d = linalg.ldl(gram)
-    dens = [lcm(*(L[i][k].denominator for i in range(k + 1, n))) for k in range(n)]
-    weights = [d[k] / (dens[k] * dens[k]) for k in range(n)]
-    m = lcm(*(w.denominator for w in weights))
-    levels = [
-        (
-            dens[k],
-            int(weights[k] * m),
-            tuple((i, int(L[i][k] * dens[k])) for i in range(k + 1, n) if L[i][k]),
-        )
-        for k in range(n)
-    ]
-    return levels, m
-
-
-def _class_minima(levels, bound: int, node_cap: int) -> dict:
-    """Per class of L/2L: the least scaled norm in the ball and its minimizers.
-
-    Visits every coefficient vector a with sum_k e_k (D_k a_k + C_k)^2 <= bound
-    whose last nonzero coefficient is positive (one of each +- pair), and
-    folds it into `minima[parity of a] = [norm, [a, ...]]` on the fly.
-    """
-    n = len(levels)
-    a = [0] * n
-    minima: dict = {}
-    nodes = 0
-
-    def visit(k: int, used: int, zero_above: bool) -> None:
-        nonlocal nodes
-        dk, ek, lk = levels[k]
-        c = sum(lik * a[i] for i, lik in lk)
-        s = isqrt((bound - used) // ek)
-        # |D_k a_k + C_k| <= s
-        lo, hi = -((s + c) // dk), (s - c) // dk
-        if zero_above:
-            lo = max(lo, 0 if k else 1)
-        nodes += max(0, hi - lo + 1)
-        if nodes > node_cap:
-            raise SizeCapError(f"relevant-vector ball search exceeded node cap {node_cap}")
-        for x in range(lo, hi + 1):
-            a[k] = x
-            t = dk * x + c
-            u = used + ek * t * t
-            if k:
-                visit(k - 1, u, zero_above and not x)
-                continue
-            key = tuple(v & 1 for v in a)
-            if not any(key):
-                continue
-            best = minima.get(key)
-            if best is None or u < best[0]:
-                minima[key] = [u, [tuple(a)]]
-            elif u == best[0]:
-                best[1].append(tuple(a))
-        a[k] = 0
-
-    visit(n - 1, 0, True)
-    return minima
-
-
 def compute_relevant_vectors(
     basis: LatticeBasis, dim_cap: int = DEFAULT_DIM_CAP
 ) -> VoronoiCellData:
@@ -177,13 +108,13 @@ def compute_relevant_vectors(
     """
     n = basis.n
     reps = coset_reps_mod2(n, dim_cap)
-    cols = tuple(zip(*basis.rows_int))  # the columns of den * B
-    gram = [[linalg.dot_int(u, v) for v in cols] for u in cols]
+    gram = _integer_gram(basis)
     levels, m = _integer_levels(gram)
+    origin = (0,) * n
     norms = [gram[j][j] for j in range(n)]
     radius, trace = min(norms), sum(norms)
     while True:
-        minima = _class_minima(levels, radius * m, DEFAULT_NODE_CAP)
+        minima = _class_minima(levels, origin, 1, radius * m, DEFAULT_NODE_CAP, True)
         if len(minima) == len(reps):
             break
         if radius >= trace:
@@ -191,7 +122,7 @@ def compute_relevant_vectors(
         radius = min(trace, -(-radius * (n + 1) // n))
     out: list[LatticePoint] = []
     for p in reps:
-        _, found = minima[p]
+        _, found = minima[sum(bit << k for k, bit in enumerate(p))]
         if len(found) != 1:
             continue  # two or more +- pairs tie: no facet from this coset
         v = LatticePoint.from_coeffs(basis, found[0])

@@ -1,12 +1,14 @@
 """Shared fixtures and the reference tools the tests check the solver against.
 
 The reference tools have no caller in the package: an exact rejection
-sampler, Gamma radial draws, an exact shortest-vector oracle and the
-per-coset relevant-vector search.
+sampler, Gamma radial draws, a `Fraction` ball enumerator with the
+closest-vector search and shortest-vector oracle built on it, the
+per-coset relevant-vector search, and exact rank.
 """
 
 from fractions import Fraction
 from math import isqrt, sqrt
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -20,16 +22,22 @@ from voronoi_cvp import (
     Target,
     VoronoiCellData,
     compute_relevant_vectors,
-    cvp_bruteforce,
-    enumerate_ball,
     preprocess,
 )
+from voronoi_cvp import linalg
 from voronoi_cvp.lattice import DEFAULT_DIM_CAP, coset_reps_mod2, random_rational_basis
 from voronoi_cvp.linalg import norm_sq, sub
+from voronoi_cvp.oracles import DEFAULT_NODE_CAP, CvpSolutionSet
 from voronoi_cvp.sampling import stream_for
 
 settings.register_profile("exact", deadline=None, max_examples=60)
 settings.load_profile("exact")
+
+# The hexagonal A2 has no rational basis in the plane; summed orthogonally
+# with the line through (1, 1, 1) it has one, and its three mixed cosets tie.
+A2_PLUS_LINE = LatticeBasis.from_rows([[1, 0, 1], [-1, 1, 1], [0, -1, 1]])
+# D4 = {x in Z^4 : sum of x even}; the cosets of 2 e_i tie.
+D4 = LatticeBasis.from_rows([[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 1], [0, 0, -1, 1]])
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -97,6 +105,125 @@ def gamma_factor_for_dimension(n: int) -> float:
     return 1.0 / (1.0 + 2.0 * sqrt(2.0) / (sqrt(n + 1.0) - sqrt(2.0)))
 
 
+def rank(vectors: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank, the reference that frame selection is checked against."""
+    if not vectors:
+        return 0
+    rows = [[linalg.frac(x) for x in v] for v in vectors]
+    _, pivots, _ = linalg._eliminate(rows)
+    return len(pivots)
+
+
+def floor_of_sum_with_sqrt(m: Fraction, q: Fraction) -> int:
+    """floor(m + sqrt(q)) computed exactly for rational m and q >= 0."""
+    if q < 0:
+        raise ValueError("negative radicand")
+    mp, mq = m.numerator, m.denominator
+    qp, qq = q.numerator, q.denominator
+    s = qp * qq  # sqrt(q) == sqrt(s) / qq
+    u = isqrt(mq * mq * s)  # u <= mq * sqrt(s) < u + 1
+    return (mp * qq + u) // (mq * qq)
+
+
+def ceil_of_diff_with_sqrt(m: Fraction, q: Fraction) -> int:
+    """ceil(m - sqrt(q)) computed exactly for rational m and q >= 0."""
+    return -floor_of_sum_with_sqrt(-m, q)
+
+
+def _ball_search(
+    basis: LatticeBasis,
+    center: Sequence[Fraction],
+    radius_sq: Fraction,
+    node_cap: int,
+    shrink: bool,
+) -> tuple[Fraction, list[tuple[int, ...]]]:
+    """Enumerate coefficient vectors a with ||B a - center||^2 <= radius_sq.
+
+    Uses the LDL^T form of the Gram matrix: with z = a - y (y the rational
+    coordinates of the center), ||B z||^2 = sum_j d_j (z_j + sum_{i>j} L_ij z_i)^2,
+    which gives an exact integer interval for each coefficient level.
+
+    With ``shrink`` the bound tightens to the best distance seen so far and
+    only minimizers are kept (returns (best_sq, argmin coeffs)); otherwise
+    all coefficient vectors in the ball are returned with bound fixed.
+    """
+    n = basis.n
+    y = basis.coefficients_of(linalg.vec(center))
+    L, d = linalg.ldl(basis.gram)
+
+    state = {"nodes": 0, "best": radius_sq, "out": []}
+    z = [Fraction(0)] * n  # z[i] = a[i] - y[i], filled from level n-1 down
+
+    def recurse(level: int, used: Fraction) -> None:
+        if level < 0:
+            if shrink and used < state["best"]:
+                state["best"] = used
+                state["out"] = []
+            state["out"].append(tuple(int(zi + yi) for zi, yi in zip(z, y)))
+            return
+        remaining = state["best"] - used
+        if remaining < 0:
+            return
+        # offset c = sum_{i>level} L[i][level] * z[i]
+        c = sum(
+            (L[i][level] * z[i] for i in range(level + 1, n) if z[i]),
+            Fraction(0),
+        )
+        bound = remaining / d[level]
+        mid = y[level] - c
+        lo = ceil_of_diff_with_sqrt(mid, bound)
+        hi = floor_of_sum_with_sqrt(mid, bound)
+        for a_val in range(lo, hi + 1):
+            state["nodes"] += 1
+            if state["nodes"] > node_cap:
+                raise SizeCapError(
+                    f"ball enumeration exceeded node cap {node_cap}"
+                )
+            z[level] = a_val - y[level]
+            term = d[level] * (z[level] + c) ** 2
+            if used + term <= state["best"]:
+                recurse(level - 1, used + term)
+        z[level] = Fraction(0)
+
+    recurse(n - 1, Fraction(0))
+    return state["best"], state["out"]
+
+
+def enumerate_ball(
+    basis: LatticeBasis,
+    center: Target | Sequence[Fraction],
+    radius_sq,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> list[LatticePoint]:
+    """All lattice points within squared distance radius_sq of the center."""
+    r = linalg.frac(radius_sq)
+    if r < 0:
+        raise ValueError("radius_sq must be nonnegative")
+    c = center.coords if isinstance(center, Target) else linalg.vec(center)
+    _, coeff_list = _ball_search(basis, c, r, node_cap, shrink=False)
+    pts = [LatticePoint.from_coeffs(basis, a) for a in coeff_list]
+    pts.sort(key=lambda p: p.coeffs)
+    return pts
+
+
+def fraction_cvp(
+    basis: LatticeBasis, t: Target, node_cap: int = DEFAULT_NODE_CAP
+) -> CvpSolutionSet:
+    """Exact closest-vector solution set by the `Fraction` ball search.
+
+    The search radius is seeded by the distance to the coefficient-rounded
+    point and shrinks as better points are found.
+    """
+    y = basis.coefficients_of(t.coords)
+    rounded = tuple(round(a) for a in y)
+    seed_pt = basis.apply(rounded)
+    seed_sq = linalg.norm_sq(linalg.sub(t.coords, seed_pt))
+    best, coeff_list = _ball_search(basis, t.coords, seed_sq, node_cap, shrink=True)
+    pts = [LatticePoint.from_coeffs(basis, a) for a in coeff_list]
+    pts.sort(key=lambda p: p.coeffs)
+    return CvpSolutionSet(dist_sq=best, points=tuple(pts))
+
+
 def shortest_vector(basis):
     """Exact first minimum: (lambda_1^2, all +-minimizers).
 
@@ -121,7 +248,7 @@ def relevant_vectors_by_coset(basis, dim_cap=DEFAULT_DIM_CAP):
     out: list[LatticePoint] = []
     for p in coset_reps_mod2(basis.n, dim_cap):
         c = basis.apply(p)
-        sols = cvp_bruteforce(doubled, Target(coords=c))
+        sols = fraction_cvp(doubled, Target(coords=c))
         # minimum-norm coset elements are c - z over closest z in 2L
         if len(sols.points) != 2:
             continue  # tied minimizers: no facet from this coset

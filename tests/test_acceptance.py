@@ -19,7 +19,6 @@ from voronoi_cvp import (
     TieDetected,
     compute_relevant_vectors,
     cvp_bruteforce,
-    enumerate_ball,
     graph_distance_bfs,
     line_follow,
     membership,
@@ -43,6 +42,7 @@ from voronoi_cvp.linalg import norm_sq, sub
 from voronoi_cvp.sampling import stream_for, uniform_sample
 
 from conftest import (
+    enumerate_ball,
     gamma_factor_for_dimension,
     gamma_sample,
     make_rng,

@@ -518,9 +518,12 @@ def test_malformed_env_value_is_input_error(tmp_path, capsys, monkeypatch, name,
 def test_malformed_pairs_file_is_input_error(tmp_path, capsys):
     path = write_z2(tmp_path, capsys)
     pairs = tmp_path / "pairs.json"
-    pairs.write_text("[[1, 2]]")
-    code, _, err = run_cli(capsys, "graphdist", str(path), "--pairs", f"file:{pairs}")
-    assert code == 2 and "pairs file" in err
+    # a row is two JSON lists of n integers: strings, floats and booleans
+    # are not coefficients, even where int() would accept them
+    for rows in ([[1, 2]], [["00", "11"]], [[[0, 0], [1.5, True]]], [[[0, 0], [1]]], {"a": 1}):
+        pairs.write_text(json.dumps(rows))
+        code, _, err = run_cli(capsys, "graphdist", str(path), "--pairs", f"file:{pairs}")
+        assert code == 2 and "pairs file" in err
 
 
 def test_negative_rational_flag_values(tmp_path, capsys):

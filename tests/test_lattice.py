@@ -10,7 +10,6 @@ from voronoi_cvp import (
     SizeCapError,
     Target,
     coset_reps_mod2,
-    covering_radius_upper,
     encoding_length,
     encoding_length_int,
     qbar,
@@ -139,20 +138,6 @@ def test_coset_reps_lexicographic():
     coset_reps_mod2(15, dim_cap=15)  # configurable
 
 
-def test_covering_radius_upper_examples():
-    n = 4
-    eye = LatticeBasis.identity(n)
-    assert covering_radius_upper(eye.columns) == n
-    assert covering_radius_upper([(Fraction(5, 2),)]) == Fraction(25, 4)
-    scaled = [(3, 0), (0, 3)]
-    assert covering_radius_upper(scaled) == 18
-
-
-def test_covering_radius_upper_rejects_dependent():
-    with pytest.raises(InputError):
-        covering_radius_upper([(1, 0), (2, 0)])
-
-
 def test_gram_positive_definite_on_random_bases():
     rng = make_rng(5)
     for _ in range(10):
@@ -171,7 +156,7 @@ def test_bit_length_bound_on_random_instances():
     for _ in range(25):
         b = random_rational_basis(3, rng)
         t = random_rational_target(b, rng)
-        s = covering_radius_upper(b.columns)
+        s = sum(linalg.norm_sq(c) for c in b.columns)
         bits = b.encoding_length + t.encoding_length
         assert qbar(b, t) ** 2 * s <= 4 ** (bits + 1)
 

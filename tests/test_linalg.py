@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from voronoi_cvp import linalg
 
-from conftest import sqrt_upper
+from conftest import ceil_of_diff_with_sqrt, floor_of_sum_with_sqrt, rank, sqrt_upper
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 nonneg = st.fractions(min_value=0, max_value=10_000, max_denominator=50)
@@ -15,7 +15,7 @@ nonneg = st.fractions(min_value=0, max_value=10_000, max_denominator=50)
 @given(rationals, nonneg)
 def test_floor_of_sum_with_sqrt_characterization(m, q):
     # k = floor(m + sqrt(q)) iff k - m <= sqrt(q) < k + 1 - m
-    k = linalg.floor_of_sum_with_sqrt(m, q)
+    k = floor_of_sum_with_sqrt(m, q)
     low = k - m
     assert low <= 0 or low * low <= q
     high = k + 1 - m
@@ -24,7 +24,7 @@ def test_floor_of_sum_with_sqrt_characterization(m, q):
 
 @given(rationals, nonneg)
 def test_ceil_of_diff_with_sqrt_characterization(m, q):
-    k = linalg.ceil_of_diff_with_sqrt(m, q)
+    k = ceil_of_diff_with_sqrt(m, q)
     # k >= m - sqrt(q) and k - 1 < m - sqrt(q)
     lhs = m - k
     assert lhs <= 0 or lhs * lhs <= q
@@ -126,8 +126,8 @@ def test_ldl_of_integer_gram_is_exact():
 
 
 def test_rank_and_det_basics():
-    assert linalg.rank([(1, 0), (2, 0)]) == 1
-    assert linalg.rank([(1, 0), (0, 1)]) == 2
+    assert rank([(1, 0), (2, 0)]) == 1
+    assert rank([(1, 0), (0, 1)]) == 2
     assert linalg.det([[2, 1], [0, 3]]) == 6
     assert linalg.det([[1, 2], [2, 4]]) == 0
 

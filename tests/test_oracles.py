@@ -7,8 +7,8 @@ from voronoi_cvp import (
     LatticePoint,
     SizeCapError,
     Target,
+    compute_relevant_vectors,
     cvp_bruteforce,
-    enumerate_ball,
     graph_distance_bfs,
     membership,
     voronoi_norm,
@@ -16,7 +16,7 @@ from voronoi_cvp import (
 from voronoi_cvp.lattice import random_rational_target
 from voronoi_cvp.linalg import norm_sq
 
-from conftest import make_rng, shortest_vector
+from conftest import A2_PLUS_LINE, D4, enumerate_ball, fraction_cvp, make_rng, shortest_vector
 
 
 def coeff_set(points):
@@ -73,6 +73,38 @@ def test_cvp_deep_hole():
     sols = cvp_bruteforce(b, Target.of([Fraction(1, 2), Fraction(1, 2)]))
     assert sols.dist_sq == Fraction(1, 2)
     assert coeff_set(sols.points) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+
+def test_cvp_matches_fraction_reference(rand_lattices, high_dim_cells):
+    # the integer search against the independent Fraction search, on ties
+    # (deep holes, facet midpoints v/2), lattice points and random targets;
+    # counts are pinned where the tie structure is known
+    half = Fraction(1, 2)
+    line = LatticeBasis.from_rows([[Fraction(5, 2)]])
+    cases = [
+        (LatticeBasis.identity(2), [half, half], 4),
+        (D4, [half] * 4, 8),
+        (line, [Fraction(5, 4)], 2),
+        (line, [Fraction(-7, 3)], 1),
+    ]
+    for basis in (A2_PLUS_LINE, D4):
+        for v in compute_relevant_vectors(basis).vectors:
+            cases.append((basis, [c / 2 for c in v.ambient], 2))
+    rng = make_rng(74)
+    bases = [line, A2_PLUS_LINE, D4] + [b for b, _ in rand_lattices]
+    bases += [high_dim_cells[n].basis for n in (6, 7)]
+    for basis in bases:
+        a = [int(rng.integers(-3, 4)) for _ in range(basis.n)]
+        cases.append((basis, [0] * basis.n, 1))  # 0 is never halved away
+        cases.append((basis, basis.apply(a), 1))
+        cases += [(basis, random_rational_target(basis, rng).coords, None) for _ in range(3)]
+    for basis, coords, count in cases:
+        t = Target.of(coords)
+        got = cvp_bruteforce(basis, t)
+        assert got == fraction_cvp(basis, t)
+        assert count is None or len(got.points) == count
+    with pytest.raises(SizeCapError):
+        cvp_bruteforce(LatticeBasis.identity(3), Target.of([half] * 3), node_cap=3)
 
 
 def test_cvp_minimizers_exact_and_complete(rand_lattices):

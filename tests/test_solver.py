@@ -22,11 +22,11 @@ from voronoi_cvp import solver
 from voronoi_cvp.cli import main
 from voronoi_cvp.experiments import run_crossing_trials
 from voronoi_cvp.lattice import qbar, random_rational_target
-from voronoi_cvp.linalg import dot, inverse, norm_sq, rank, sub
+from voronoi_cvp.linalg import dot, inverse, norm_sq, sub
 from voronoi_cvp.sampling import stream_for
 from voronoi_cvp.solver import QueryParams
 
-from conftest import make_rng
+from conftest import make_rng, rank
 
 F = Fraction
 

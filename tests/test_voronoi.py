@@ -10,7 +10,6 @@ from voronoi_cvp import (
     SizeCapError,
     compute_relevant_vectors,
     cvp_bruteforce,
-    enumerate_ball,
     membership,
     voronoi,
     voronoi_norm,
@@ -19,7 +18,16 @@ from voronoi_cvp.lattice import DEFAULT_DIM_CAP, Target, random_rational_basis
 from voronoi_cvp.linalg import norm_sq, scale, vec
 from voronoi_cvp.voronoi import cell_from_obj, cell_to_obj, load_cell, save_cell
 
-from conftest import add, make_rng, relevant_vectors_by_coset, shortest_vector, sqrt_upper
+from conftest import (
+    A2_PLUS_LINE,
+    D4,
+    add,
+    enumerate_ball,
+    make_rng,
+    relevant_vectors_by_coset,
+    shortest_vector,
+    sqrt_upper,
+)
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=32)
 
@@ -96,13 +104,6 @@ def test_strict_coset_minimality_reverified(rand_lattices):
             )
             got = {p.coeffs for p in hits}
             assert got == {tuple(0 for _ in v.coeffs), tuple(-c for c in v.coeffs)}
-
-
-# The hexagonal A2 has no rational basis in the plane; summed orthogonally
-# with the line through (1, 1, 1) it has one, and its three mixed cosets tie.
-A2_PLUS_LINE = LatticeBasis.from_rows([[1, 0, 1], [-1, 1, 1], [0, -1, 1]])
-# D4 = {x in Z^4 : sum of x even}; the cosets of 2 e_i tie.
-D4 = LatticeBasis.from_rows([[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 1], [0, 0, -1, 1]])
 
 
 def test_tie_lattices_drop_tied_cosets():
