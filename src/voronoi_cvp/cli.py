@@ -123,7 +123,7 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 def _common_parser() -> argparse.ArgumentParser:
     # string defaults pass through the converters, so bad environment values fail too
     p = _Parser(add_help=False)
-    p.add_argument("--seed", type=int, default=_env("SEED", "0"))
+    p.add_argument("--seed", type=_int_at_least(0), default=_env("SEED", "0"))
     p.add_argument(
         "--precision-bits",
         type=_int_at_least(sampling.MIN_PRECISION_BITS),

@@ -170,10 +170,12 @@ def run_crossing_trials(
         return [
             _run_single_trial(cell, x, t, alpha, cfg, i) for i in range(n_trials)
         ]
+    # the fork start method launches every worker at the first submit
+    workers = min(jobs, n_trials)
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_pool_init, initargs=(cell, x, t, alpha, cfg)
+        max_workers=workers, initializer=_pool_init, initargs=(cell, x, t, alpha, cfg)
     ) as ex:
-        chunk = max(1, n_trials // (jobs * 4))
+        chunk = max(1, n_trials // (workers * 4))
         return list(ex.map(_pool_run, range(n_trials), chunksize=chunk))
 
 

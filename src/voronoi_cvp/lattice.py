@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -50,12 +51,11 @@ def encoding_length(data) -> int:
 class LatticeBasis:
     """Full-rank rational basis; columns generate the lattice.
 
-    `gram[i][j]` caches the inner product of columns i and j.  `rows_int`
-    holds the rows of den * B, with `den` the least common denominator.
+    `rows_int` holds the rows of den * B, with `den` the least common
+    denominator.
     """
 
     columns: tuple[Vec, ...]
-    gram: tuple[Vec, ...]
     den: int
     rows_int: tuple[tuple[int, ...], ...]
 
@@ -69,11 +69,12 @@ class LatticeBasis:
         n = len(cols)
         if n == 0 or any(len(c) != n for c in cols):
             raise InputError("basis must be a nonempty square matrix")
-        gram = tuple(tuple(linalg.dot(a, b) for b in cols) for a in cols)
-        if linalg.det(gram) == 0:
-            raise InputError("basis columns are linearly dependent")
         rows_int, den = linalg.scaled_vectors(n, *zip(*cols))
-        return cls(columns=cols, gram=gram, den=den, rows_int=rows_int)
+        try:
+            linalg.inverse(rows_int)
+        except ValueError:
+            raise InputError("basis columns are linearly dependent") from None
+        return cls(columns=cols, den=den, rows_int=rows_int)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "LatticeBasis":
@@ -107,7 +108,7 @@ class LatticeBasis:
 
     def coefficients_of(self, point: Sequence[Fraction]) -> Vec:
         """Solve B a = point (a is rational for rational input)."""
-        return linalg.solve(self.rows(), point)
+        return linalg.solve(self.rows_int, linalg.scale(Fraction(self.den), point))
 
     def scaled(self, factor) -> "LatticeBasis":
         f = frac(factor)
@@ -132,7 +133,7 @@ class LatticePoint:
 
     @classmethod
     def origin(cls, n: int) -> "LatticePoint":
-        return cls(coeffs=(0,) * n, ambient=linalg.zeros(n))
+        return cls(coeffs=(0,) * n, ambient=(Fraction(0),) * n)
 
 
 @dataclass(frozen=True)
@@ -156,11 +157,9 @@ class Target:
 
 def qbar(basis: LatticeBasis, target: Target | None = None) -> int:
     """Least positive integer clearing every denominator of the basis (and target)."""
-    d = basis.den
-    if target is not None:
-        for x in target.coords:
-            d = lcm(d, x.denominator)
-    return d
+    if target is None:
+        return basis.den
+    return lcm(basis.den, *(x.denominator for x in target.coords))
 
 
 def coset_reps_mod2(n: int, dim_cap: int = DEFAULT_DIM_CAP) -> list[tuple[int, ...]]:
@@ -184,23 +183,32 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _json_rational(value) -> Fraction:
+    """A file entry: a JSON string such as "p/q", or a JSON integer (not a boolean)."""
+    if not (isinstance(value, str) or type(value) is int):
+        raise TypeError(f"expected a string or integer entry, got {json.dumps(value)}")
+    return Fraction(value)
+
+
 def basis_from_obj(obj: dict) -> LatticeBasis:
     try:
-        n = int(obj["n"])
+        n = obj["n"]
+        if type(n) is not int:  # booleans are not integers
+            raise TypeError(f"n must be a JSON integer, got {json.dumps(n)}")
         rows = [_json_list(r, "basis row") for r in _json_list(obj["basis"], "basis")]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed basis object: {e}") from None
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError("basis matrix shape does not match n")
     try:
-        return LatticeBasis.from_rows([[Fraction(x) for x in row] for row in rows])
+        return LatticeBasis.from_rows([[_json_rational(x) for x in row] for row in rows])
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational entry in basis: {e}") from None
 
 
 def target_from_obj(obj: dict) -> Target:
     try:
-        return Target.of([Fraction(x) for x in _json_list(obj["t"], "target")])
+        return Target.of([_json_rational(x) for x in _json_list(obj["t"], "target")])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"malformed target object: {e}") from None
 
@@ -219,22 +227,20 @@ def write_basis(basis: LatticeBasis, path) -> None:
         f.write("\n")
 
 
-def read_basis(path) -> LatticeBasis:
+def _read_json(path, what: str):
     try:
         with open(path) as f:
-            obj = json.load(f)
+            return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        raise InputError(f"cannot read basis file {path}: {e}") from None
-    return basis_from_obj(obj)
+        raise InputError(f"cannot read {what} file {path}: {e}") from None
+
+
+def read_basis(path) -> LatticeBasis:
+    return basis_from_obj(_read_json(path, "basis"))
 
 
 def read_target(path) -> Target:
-    try:
-        with open(path) as f:
-            obj = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise InputError(f"cannot read target file {path}: {e}") from None
-    return target_from_obj(obj)
+    return target_from_obj(_read_json(path, "target"))
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +272,13 @@ def random_rational_basis(
             ]
             for _ in range(n)
         ]
-        d = linalg.det(rows)
-        if d == 0:
+        # the defect test on den * B: den^(2n) scales both sides alike
+        rows_int, _ = linalg.scaled_vectors(n, *rows)
+        try:
+            _, d = linalg.inverse(rows_int)
+        except ValueError:
             continue
-        cols = [tuple(rows[i][j] for i in range(n)) for j in range(n)]
-        prod_sq = Fraction(1)
-        for c in cols:
-            prod_sq *= linalg.norm_sq(c)
-        if prod_sq > (defect_cap * defect_cap) * d * d:
+        if prod(linalg.dot_int(c, c) for c in zip(*rows_int)) > (defect_cap * d) ** 2:
             continue
         return LatticeBasis.from_rows(rows)
     raise SizeCapError("could not draw a well-conditioned basis")

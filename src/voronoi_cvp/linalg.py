@@ -1,16 +1,20 @@
-"""Exact linear algebra over rationals.
+"""Exact linear algebra over rationals and integers.
 
 Vectors are tuples of ``fractions.Fraction``; matrices are tuples of row
-tuples.  Everything here is exact: no floats, no square roots.  The
-ball enumerator in `oracles` scales `ldl`'s output to integers and takes
-its square roots as exact `math.isqrt` bounds.
+tuples.  Everything here is exact: no floats, no square roots.  Matrices
+are inverted over the integers: `inverse` is one fraction-free
+Gauss-Jordan elimination (Bareiss) of an integer matrix, returning an
+integer K and d = |det M| with M K = d I, and `solve` multiplies by K, so a
+`Fraction` is built only for the solution it returns.  The ball enumerator
+in `oracles` scales `ldl`'s output to integers and takes its square roots
+as exact `math.isqrt` bounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import mul
+from math import lcm
+from operator import index, mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -23,10 +27,6 @@ def frac(x) -> Fraction:
 
 def vec(entries: Iterable) -> Vec:
     return tuple(frac(x) for x in entries)
-
-
-def zeros(n: int) -> Vec:
-    return (Fraction(0),) * n
 
 
 def sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
@@ -49,15 +49,9 @@ def dot_int(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def scaled_ints(u: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Return ``(k, d)`` with ``u == k / d`` entrywise and integer ``k``, ``d >= 1``."""
-    d = 1
-    for x in u:
-        d = lcm(d, x.denominator)
+    d = lcm(*(x.denominator for x in u))
     return tuple(x.numerator * (d // x.denominator) for x in u), d
 
 
@@ -71,78 +65,38 @@ def scaled_vectors(
     return tuple(flat[i : i + n] for i in range(0, len(flat), n)), d
 
 
-def _eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], int]:
-    """Row echelon form; returns (rows, pivot columns, sign of permutation)."""
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    pivots: list[int] = []
-    sign = 1
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, m) if rows[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            sign = -sign
-        pc = rows[r][c]
-        for i in range(r + 1, m):
-            if rows[i][c]:
-                f = rows[i][c] / pc
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots, sign
+def inverse(matrix: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer inverse of a square integer matrix: ``(K, d)`` with M K = d I, d = |det M|.
 
-
-def det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(matrix)
-    rows = [[frac(x) for x in row] for row in matrix]
-    rows, pivots, sign = _eliminate(rows)
-    if len(pivots) < n:
-        return Fraction(0)
-    d = Fraction(sign)
-    for i in range(n):
-        d *= rows[i][pivots[i]]
-    return d
-
-
-def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec:
-    """Solve M x = rhs for square nonsingular M (rows given)."""
-    n = len(matrix)
-    rows = [[frac(x) for x in row] + [frac(b)] for row, b in zip(matrix, rhs, strict=True)]
-    rows, pivots, _ = _eliminate(rows)
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise ValueError("matrix is singular")
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        c = pivots[i]
-        s = rows[i][n] - sum(rows[i][j] * x[j] for j in range(c + 1, n))
-        x[c] = s / rows[i][c]
-    return tuple(x)
-
-
-def inverse(matrix: Sequence[Sequence[Fraction]]) -> Mat:
-    """Inverse of a square nonsingular matrix: one Gauss-Jordan pass over [M | I]."""
+    Fraction-free Gauss-Jordan (Bareiss 1968) over [M | I]: each step
+    replaces every other row i by (p r_i - m_ik r_k) / p_prev, which divides
+    exactly, so every entry stays an integer minor and the last pivot is
+    +-det M.  Raises ValueError when M is singular.
+    """
     n = len(matrix)
     rows = [
-        [frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
+        [*map(index, row), *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)
     ]
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c]), None)
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
         if p is None:
             raise ValueError("matrix is singular")
-        rows[c], rows[p] = rows[p], rows[c]
-        pc = rows[c][c]
-        rows[c] = [a / pc for a in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return tuple(tuple(row[n:]) for row in rows)
+        rows[k], rows[p] = rows[p], rows[k]
+        r_k = rows[k]
+        for i, r_i in enumerate(rows):
+            if i != k:
+                rows[i] = [(r_k[k] * a - r_i[k] * b) // prev for a, b in zip(r_i, r_k)]
+        prev = r_k[k]
+    sign = 1 if prev > 0 else -1
+    return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * prev
+
+
+def solve(matrix: Sequence[Sequence[int]], rhs: Sequence[Fraction]) -> Vec:
+    """Solve M x = rhs for a square nonsingular integer M: x = K rhs / d."""
+    K, d = inverse(matrix)
+    (r_int,), dr = scaled_vectors(len(K), vec(rhs))
+    return tuple(Fraction(dot_int(row, r_int), d * dr) for row in K)
 
 
 def ldl(gram: Sequence[Sequence[Fraction]]) -> tuple[Mat, Vec]:

@@ -75,16 +75,17 @@ def preprocess(
             break
     if len(frame) < n:
         raise ContractViolation("relevant vectors do not span the space")
-    # invert the matrix whose columns are the frame vectors
-    frame_rows = tuple(tuple(frame[j].ambient[i] for j in range(n)) for i in range(n))
-    frame_inverse_int, frame_den = linalg.scaled_vectors(n, *linalg.inverse(frame_rows))
+    # F = F_int / den with the frame vectors as columns; F_int K = d I gives
+    # F^-1 = den K / d
+    cols = [basis.apply_int(v.coeffs) for v in frame]
+    inv, frame_den = linalg.inverse(tuple(zip(*cols)))
     return PreprocessedLattice(
         basis=basis,
         cell=cell,
         frame=tuple(frame),
-        frame_inverse_int=frame_inverse_int,
+        frame_inverse_int=tuple(tuple(basis.den * k for k in row) for row in inv),
         frame_den=frame_den,
-        frame_sum_sq=sum((linalg.norm_sq(v.ambient) for v in frame), Fraction(0)),
+        frame_sum_sq=Fraction(sum(linalg.dot_int(c, c) for c in cols), basis.den**2),
         bits_basis=basis.encoding_length,
     )
 

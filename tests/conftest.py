@@ -106,12 +106,24 @@ def gamma_factor_for_dimension(n: int) -> float:
 
 
 def rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank, the reference that frame selection is checked against."""
-    if not vectors:
-        return 0
+    """Exact rank by `Fraction` row reduction, independent of `linalg.inverse`."""
     rows = [[linalg.frac(x) for x in v] for v in vectors]
-    _, pivots, _ = linalg._eliminate(rows)
-    return len(pivots)
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def fraction_gram(basis: LatticeBasis) -> list[list[Fraction]]:
+    """G[i][j] = <b_i, b_j>, the `Fraction` Gram matrix of the basis columns."""
+    return [[linalg.dot(a, b) for b in basis.columns] for a in basis.columns]
 
 
 def floor_of_sum_with_sqrt(m: Fraction, q: Fraction) -> int:
@@ -149,7 +161,7 @@ def _ball_search(
     """
     n = basis.n
     y = basis.coefficients_of(linalg.vec(center))
-    L, d = linalg.ldl(basis.gram)
+    L, d = linalg.ldl(fraction_gram(basis))
 
     state = {"nodes": 0, "best": radius_sq, "out": []}
     z = [Fraction(0)] * n  # z[i] = a[i] - y[i], filled from level n-1 down
@@ -230,7 +242,7 @@ def shortest_vector(basis):
     Every lattice point in the ball of squared radius min_j G_jj is listed;
     the shortest basis vector lies in it, so the ball holds every minimizer.
     """
-    radius_sq = min(basis.gram[j][j] for j in range(basis.n))
+    radius_sq = min(linalg.norm_sq(c) for c in basis.columns)
     ball = enumerate_ball(basis, (0,) * basis.n, radius_sq)
     nonzero = [p for p in ball if any(p.coeffs)]
     best = min(norm_sq(p.ambient) for p in nonzero)

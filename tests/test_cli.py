@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from voronoi_cvp import experiments
 from voronoi_cvp.cli import main
 
 
@@ -304,6 +305,33 @@ def test_crossings_jobs_match_sequential(tmp_path, capsys):
     assert strip_wall_clock(seq) == strip_wall_clock(par)
 
 
+def test_crossings_start_at_most_one_worker_per_trial(tmp_path, capsys, monkeypatch):
+    # a stand-in pool that records its size and runs the trials in this process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    path = write_z2(tmp_path, capsys)
+    base = ["crossings", str(path), "--trials", "2", "--target", "7/4,2/3"]
+    _, seq, _ = run_cli(capsys, *base)
+    code, par, _ = run_cli(capsys, *base, "--jobs", "64")
+    assert code == 0 and sizes == [2]
+    assert strip_wall_clock(seq) == strip_wall_clock(par)
+
+
 def test_graphdist_box(tmp_path, capsys):
     path = write_z2(tmp_path, capsys)
     code, out, _ = run_cli(
@@ -459,6 +487,7 @@ MALFORMED = {
     "target-zero-den": ["solve", "--target", "1/0,1"],
     "target-missing": ["solve", "--target"],
     "seed": ["solve", "--target", "1/2,1/3", "--seed", "x"],
+    "seed-negative": ["solve", "--target", "1/2,1/3", "--seed", "-1"],
     "dim-cap": ["solve", "--target", "1/2,1/3", "--dim-cap", "0"],
     "strategy": ["solve", "--target", "1/2,1/3", "--strategy", "bogus"],
 }
@@ -480,6 +509,7 @@ GEN_MALFORMED = {
     "max-numerator": ["--kind", "random-rational", "-n", "2", "--max-numerator", "-1"],
     "max-denominator": ["--kind", "random-rational", "-n", "2", "--max-denominator", "0"],
     "defect-cap": ["--kind", "random-rational", "-n", "2", "--defect-cap", "0"],
+    "seed-negative": ["--kind", "random-rational", "-n", "2", "--seed", "-2"],
 }
 
 
@@ -493,11 +523,13 @@ def test_malformed_gen_flag_is_input_error(capsys, case):
 
 def test_malformed_basis_and_target_objects_are_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n": 2, "basis": [[1, 0], [0, None]]}))
-    code, out, err = run_cli(capsys, "solve", str(bad), "--target", "1/2,1/3")
-    assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert out == ""
+    # entries are strings or integers: null, floats and booleans are refused
+    for entry in (None, 0.1, True):
+        bad.write_text(json.dumps({"n": 2, "basis": [[1, 0], [0, entry]]}))
+        code, out, err = run_cli(capsys, "solve", str(bad), "--target", "1/2,1/3")
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
     path = write_z2(tmp_path, capsys)
     tfile = tmp_path / "t.json"
     tfile.write_text(json.dumps({"t": "12"}))
@@ -507,7 +539,9 @@ def test_malformed_basis_and_target_objects_are_input_errors(tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("name,value", [("PRECISION_BITS", "8"), ("FORMAT", "xml")])
+@pytest.mark.parametrize(
+    "name,value", [("PRECISION_BITS", "8"), ("FORMAT", "xml"), ("SEED", "-5")]
+)
 def test_malformed_env_value_is_input_error(tmp_path, capsys, monkeypatch, name, value):
     path = write_z2(tmp_path, capsys)
     monkeypatch.setenv("VORONOI_CVP_" + name, value)

@@ -14,7 +14,7 @@ from voronoi_cvp import (
     encoding_length_int,
     qbar,
 )
-from voronoi_cvp import linalg
+from voronoi_cvp import linalg, oracles
 from voronoi_cvp.lattice import (
     basis_from_obj,
     basis_hash,
@@ -26,7 +26,7 @@ from voronoi_cvp.lattice import (
     write_basis,
 )
 
-from conftest import make_rng
+from conftest import fraction_gram, make_rng, rank
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 
@@ -112,7 +112,7 @@ def bases_and_coeffs(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     entry = st.fractions(min_value=-6, max_value=6, max_denominator=12)
     rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
-    assume(linalg.det(rows) != 0)
+    assume(rank(rows) == n)
     coeffs = draw(st.lists(st.integers(-(10**6), 10**6), min_size=n, max_size=n))
     return LatticeBasis.from_rows(rows), coeffs
 
@@ -142,11 +142,12 @@ def test_gram_positive_definite_on_random_bases():
     rng = make_rng(5)
     for _ in range(10):
         b = random_rational_basis(3, rng)
-        g = b.gram
-        for k in range(1, 4):
-            minor = [row[:k] for row in g[:k]]
-            assert linalg.det(minor) > 0
-        assert g == tuple(tuple(r) for r in zip(*g))  # symmetric
+        g = oracles._integer_gram(b)
+        assert g == [[b.den**2 * x for x in row] for row in fraction_gram(b)]
+        assert g == [list(r) for r in zip(*g)]  # symmetric
+        # the LDL^T pivots are the ratios of successive leading minors
+        _, pivots = linalg.ldl(g)
+        assert all(p > 0 for p in pivots)
 
 
 def test_bit_length_bound_on_random_instances():
@@ -188,6 +189,13 @@ def test_singular_basis_rejected():
         {"n": 1, "basis": "5"},
         {"n": 1, "basis": ["5"]},
         {"n": 2, "basis": [[1, 0], [0, None]]},
+        # entries are JSON strings or integers, and n is a JSON integer
+        {"n": 2, "basis": [[0.1, 0], [0, 1]]},
+        {"n": 2, "basis": [[1.0, 0], [0, 1]]},
+        {"n": 2, "basis": [[True, 0], [0, 1]]},
+        {"n": 2.0, "basis": [[1, 0], [0, 1]]},
+        {"n": True, "basis": [[1]]},
+        {"n": "1", "basis": [["1"]]},
     ],
 )
 def test_malformed_basis_object_rejected(obj):
@@ -200,7 +208,11 @@ def test_target_object_must_hold_a_list():
         target_from_obj({"t": "12"})
     with pytest.raises(InputError):
         target_from_obj({"t": [1, None]})
+    for bad in (0.5, 1.0, True, False):
+        with pytest.raises(InputError):
+            target_from_obj({"t": ["1", bad]})
     assert target_from_obj({"t": ["1", "2"]}).coords == (1, 2)
+    assert target_from_obj({"t": ["-1/2", 3]}).coords == (Fraction(-1, 2), 3)
 
 
 def test_from_rows_columns_consistency():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given
@@ -64,38 +65,58 @@ def square_matrices(draw, n_max=3):
     return [[draw(entries) for _ in range(n)] for _ in range(n)]
 
 
-@given(square_matrices())
+@st.composite
+def integer_matrices(draw, n_max=5):
+    """Square integer matrices; about half have a last row that depends on the others."""
+    n = draw(st.integers(min_value=1, max_value=n_max))
+    entries = st.integers(min_value=-4, max_value=4)
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        weights = [draw(entries) for _ in range(n - 1)]
+        m[-1] = [sum(w * row[j] for w, row in zip(weights, m)) for j in range(n)]
+    return m
+
+
+@given(integer_matrices())
 def test_solve_and_inverse(m):
     n = len(m)
-    d = linalg.det(m)
-    assume(d != 0)
+    if rank(m) < n:
+        with pytest.raises(ValueError):
+            linalg.inverse(m)
+        with pytest.raises(ValueError):
+            linalg.solve(m, (1,) * n)
+        return
+    K, d = linalg.inverse(m)
+    assert d > 0 and all(type(x) is int for row in K for x in row)
+    mk = [[linalg.dot_int(row, col) for col in zip(*K)] for row in m]
+    assert mk == [[d * int(i == j) for j in range(n)] for i in range(n)]
+    # d^2 = det(M^T M), the product of the LDL^T pivots of M^T M
+    cols = list(zip(*m))
+    _, pivots = linalg.ldl([[linalg.dot_int(a, b) for b in cols] for a in cols])
+    assert d * d == prod(pivots)
     rhs = tuple(Fraction(i + 1, 3) for i in range(n))
     x = linalg.solve(m, rhs)
     assert tuple(linalg.dot(row, x) for row in m) == rhs
-    inv = linalg.inverse(m)
-    prod = [
-        [linalg.dot(m[i], tuple(inv[k][j] for k in range(n))) for j in range(n)]
-        for i in range(n)
-    ]
-    assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def test_inverse_of_skewed_basis():
-    # the skewed basis of test_round_half_to_even, whose inverse has
-    # denominators > 1
-    m = ((Fraction(2), Fraction(1, 2)), (Fraction(0), Fraction(3, 2)))
-    inv = linalg.inverse(m)
-    assert inv == ((Fraction(1, 2), Fraction(-1, 6)), (Fraction(0), Fraction(2, 3)))
-    prod = [[sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
-    assert prod == [[1, 0], [0, 1]]
+    # 2 F for the frame F of the skewed basis of test_round_half_to_even:
+    # det 12 with an inverse of denominator 12
+    assert linalg.inverse(((4, 1), (0, 3))) == (((3, -1), (0, 4)), 12)
+    # a negative determinant still gives d = |det M| > 0
+    assert linalg.inverse(((0, 1), (1, 0))) == (((0, 1), (1, 0)), 1)
+    assert linalg.inverse(((0, 2), (3, 0))) == (((0, 2), (3, 0)), 6)
     with pytest.raises(ValueError):
         linalg.inverse(((1, 2), (2, 4)))
+    # the elimination is over the integers only: a Fraction entry is refused
+    with pytest.raises(TypeError):
+        linalg.inverse(((Fraction(1, 2), 0), (0, 1)))
 
 
 @given(square_matrices())
 def test_ldl_reconstructs_gram(m):
     n = len(m)
-    assume(linalg.det(m) != 0)
+    assume(rank(m) == n)
     cols = [tuple(m[i][j] for i in range(n)) for j in range(n)]
     gram = [[linalg.dot(a, b) for b in cols] for a in cols]
     L, d = linalg.ldl(gram)
@@ -128,8 +149,11 @@ def test_ldl_of_integer_gram_is_exact():
 def test_rank_and_det_basics():
     assert rank([(1, 0), (2, 0)]) == 1
     assert rank([(1, 0), (0, 1)]) == 2
-    assert linalg.det([[2, 1], [0, 3]]) == 6
-    assert linalg.det([[1, 2], [2, 4]]) == 0
+    # the determinant comes out of the inverse as d = |det M|
+    assert linalg.inverse([[2, 1], [0, 3]])[1] == 6
+    assert linalg.inverse([[1, 2], [3, 4]])[1] == 2
+    with pytest.raises(ValueError):
+        linalg.inverse([[1, 2], [2, 4]])
 
 
 def test_ceil_frac():
