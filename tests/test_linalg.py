@@ -100,7 +100,7 @@ def test_solve_and_inverse(m):
 
 
 def test_inverse_of_skewed_basis():
-    # 2 F for the frame F of the skewed basis of test_round_half_to_even:
+    # den * B for the skewed basis B of test_round_half_to_even (den = 2):
     # det 12 with an inverse of denominator 12
     assert linalg.inverse(((4, 1), (0, 3))) == (((3, -1), (0, 4)), 12)
     # a negative determinant still gives d = |det M| > 0
