@@ -215,7 +215,8 @@ def cvp_outputs():
         for i, v in enumerate(compute_relevant_vectors(basis).vectors):
             cases.append((f"{name}:facet-{i}", basis, [c / 2 for c in v.ambient]))
         cases.append((f"{name}:zero", basis, [0] * basis.n))
-        cases.append((f"{name}:point", basis, basis.apply([2, -1] + [1] * (basis.n - 2))))
+        point = LatticePoint.from_coeffs(basis, [2, -1] + [1] * (basis.n - 2))
+        cases.append((f"{name}:point", basis, point.ambient))
     return [(f"cvp:{label}", _cvp(basis, Target.of(c))) for label, basis, c in cases]
 
 

@@ -465,21 +465,15 @@ def _parse_pairs(args, basis: LatticeBasis) -> list[tuple[LatticePoint, LatticeP
             raise SizeCapError("pair box too large")
         from itertools import product
 
-        pairs = []
-        for coeffs in product(range(-arg, arg + 1), repeat=n):
-            if any(coeffs):
-                pairs.append((origin, LatticePoint.from_coeffs(basis, coeffs)))
-        return pairs
+        box = product(range(-arg, arg + 1), repeat=n)
+        return [(origin, LatticePoint.from_coeffs(basis, c)) for c in box if any(c)]
     if kind == "random":
-        stream = sampling.stream_for(_sampler_config(args), 1)
-        pairs = []
-        for _ in range(arg):
-            a = [int(stream.gen.integers(-3, 4)) for _ in range(n)]
-            b = [int(stream.gen.integers(-3, 4)) for _ in range(n)]
-            pairs.append(
-                (LatticePoint.from_coeffs(basis, a), LatticePoint.from_coeffs(basis, b))
-            )
-        return pairs
+        gen = sampling.stream_for(_sampler_config(args), 1).gen
+
+        def draw() -> LatticePoint:
+            return LatticePoint.from_coeffs(basis, [int(gen.integers(-3, 4)) for _ in range(n)])
+
+        return [(draw(), draw()) for _ in range(arg)]
     with open(arg) as f:
         try:
             return [

@@ -53,7 +53,7 @@ TOOL_NAME = "voronoi-cvp"
 
 def phase_b_bound(cell: VoronoiCellData, x: LatticePoint, t: Target) -> Fraction:
     """Exact bound (n/2) ||t - x||_V on mean crossings of the shifted segment."""
-    return Fraction(cell.n, 2) * voronoi_norm(cell, linalg.sub(t.coords, x.ambient))
+    return Fraction(cell.n, 2) * voronoi_norm(cell, linalg.sub(t.coords, x.ambient_on(cell.basis)))
 
 
 def phase_c_bound(n: int, alpha: Fraction) -> float:
@@ -346,7 +346,7 @@ def graph_distance_rows(
     rows = []
     n = cell.n
     for x, y in pairs:
-        vnorm = voronoi_norm(cell, linalg.sub(y.ambient, x.ambient))
+        vnorm = voronoi_norm(cell, linalg.sub(y.ambient_on(cell.basis), x.ambient_on(cell.basis)))
         d = graph_distance_bfs(cell, x, y, cap)
         row = {
             "row_type": "pair",

@@ -1,22 +1,22 @@
 """Rational lattice bases, encoding lengths, and related exact arithmetic.
 
 A lattice is the set of integer combinations of the columns of a full-rank
-rational matrix.  All stored data is exact (`fractions.Fraction`); geometric
-predicates elsewhere in the package rely on that exactness.
+rational matrix.  A basis keeps its `Fraction` columns and the integer rows of
+den * B (den the least common denominator); a lattice point keeps only integers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .errors import InputError, SizeCapError
+from .errors import ContractViolation, InputError, SizeCapError
 from .linalg import Vec, frac, lcm, vec
 
 #: Hard default on any enumeration that is exponential in the dimension.
@@ -87,32 +87,16 @@ class LatticeBasis:
 
     @classmethod
     def identity(cls, n: int) -> "LatticeBasis":
-        return cls.from_columns(
-            tuple(tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n))
-        )
+        return cls.from_columns([[int(i == j) for i in range(n)] for j in range(n)])
 
     def rows(self) -> tuple[Vec, ...]:
         return tuple(
             tuple(self.columns[j][i] for j in range(self.n)) for i in range(self.n)
         )
 
-    def apply_int(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        """den * B a: the lattice point with coefficients a, scaled to integers."""
-        if len(coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
-        return tuple(linalg.dot_int(row, coeffs) for row in self.rows_int)
-
-    def apply(self, coeffs: Sequence[int]) -> Vec:
-        """Ambient coordinates of the lattice point with the given coefficients."""
-        return tuple(Fraction(x, self.den) for x in self.apply_int(coeffs))
-
     def coefficients_of(self, point: Sequence[Fraction]) -> Vec:
         """Solve B a = point (a is rational for rational input)."""
         return linalg.solve(self.rows_int, linalg.scale(Fraction(self.den), point))
-
-    def scaled(self, factor) -> "LatticeBasis":
-        f = frac(factor)
-        return LatticeBasis.from_columns(tuple(linalg.scale(f, c) for c in self.columns))
 
     @property
     def encoding_length(self) -> int:
@@ -121,19 +105,38 @@ class LatticeBasis:
 
 @dataclass(frozen=True)
 class LatticePoint:
-    """A lattice point: integer coefficients plus cached ambient coordinates."""
+    """Integer coefficients a (the only compared field) and the image den * B a on `basis`.
+
+    `basis` is None only for `origin`, whose image is 0 on every basis.  `ambient` builds
+    its `Fraction`s when read; the `_on` readers refuse a point of another basis.
+    """
 
     coeffs: tuple[int, ...]
-    ambient: Vec
+    image: tuple[int, ...] = field(repr=False, compare=False)
+    basis: Optional[LatticeBasis] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_coeffs(cls, basis: LatticeBasis, coeffs: Sequence[int]) -> "LatticePoint":
         c = tuple(int(a) for a in coeffs)
-        return cls(coeffs=c, ambient=basis.apply(c))
+        if len(c) != basis.n:
+            raise ValueError(f"expected {basis.n} coefficients, got {len(c)}")
+        return cls(c, tuple(linalg.dot_int(row, c) for row in basis.rows_int), basis)
 
     @classmethod
     def origin(cls, n: int) -> "LatticePoint":
-        return cls(coeffs=(0,) * n, ambient=(Fraction(0),) * n)
+        return cls((0,) * n, (0,) * n)
+
+    @property
+    def ambient(self) -> Vec:
+        return tuple(Fraction(x, getattr(self.basis, "den", 1)) for x in self.image)
+
+    def image_on(self, basis: LatticeBasis) -> tuple[int, ...]:
+        if len(self.image) != basis.n or self.basis not in (None, basis):
+            raise ContractViolation("lattice point was built on another basis")
+        return self.image
+
+    def ambient_on(self, basis: LatticeBasis) -> Vec:
+        return tuple(Fraction(x, basis.den) for x in self.image_on(basis))
 
 
 @dataclass(frozen=True)

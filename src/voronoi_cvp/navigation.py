@@ -98,7 +98,7 @@ def _follow_legs(
     coefficient vector (exit times are then only non-decreasing).
     """
     den = cell.basis.den
-    w_int = list(cell.basis.apply_int(z.coeffs))
+    w_int = list(z.image_on(cell.basis))
     coeffs = list(z.coeffs)
     events: list[CrossingEvent] = []
     for a_int, b_int, phase in legs:
@@ -131,7 +131,7 @@ def _follow_legs(
                     raise TieDetected(tied, alpha, len(events) - leg_start)
                 best.sort(key=lambda item: cell.vectors[item[0]].coeffs)
             if max_edges is not None and len(events) >= max_edges:
-                w = LatticePoint.from_coeffs(cell.basis, coeffs)
+                w = LatticePoint(tuple(coeffs), tuple(w_int), cell.basis)
                 return TRUNCATED, PathTrace(start=z, final=w, events=tuple(events))
             idx, v_int, q, p = best[0]
             edge = cell.vectors[idx]
@@ -146,7 +146,7 @@ def _follow_legs(
     rel_b = tuple(bi * den - wi * dl for bi, wi in zip(b_int, w_int))
     if not cell.membership_scaled(rel_b, dl * den):
         raise ContractViolation("line following ended outside the target cell")
-    w = LatticePoint.from_coeffs(cell.basis, coeffs)
+    w = LatticePoint(tuple(coeffs), tuple(w_int), cell.basis)
     return w, PathTrace(start=z, final=w, events=tuple(events))
 
 
@@ -166,7 +166,7 @@ def line_follow(
     TieDetected; "lexicographic" picks the tied edge with smallest
     coefficient vector (deterministic, used by deterministic callers).
     """
-    vectors = (z.ambient, linalg.vec(a), linalg.vec(b))
+    vectors = (z.ambient_on(cell.basis), linalg.vec(a), linalg.vec(b))
     (z_int, a_int, b_int), d = linalg.scaled_vectors(cell.n, *vectors)
     if not cell.membership_scaled([ai - zi for ai, zi in zip(a_int, z_int)], d):
         raise ContractViolation("line_follow start point is not in the start cell")
@@ -174,15 +174,15 @@ def line_follow(
 
 
 def slicer_scaled(
-    cell: VoronoiCellData, t_int: Sequence[int], dt: int, coeffs: Sequence[int], observer=None
-) -> tuple[list[int], list[int], int]:
-    """`iterative_slicer` on t_int / dt from `coeffs`: (coeffs, basis.den * point, steps)."""
+    cell: VoronoiCellData, t_int: Sequence[int], dt: int, z: LatticePoint, observer=None
+) -> tuple[LatticePoint, int]:
+    """`iterative_slicer` on the target t_int / dt."""
     den = cell.basis.den
     ds = linalg.lcm(den, dt)
     fz, ft = ds // den, ds // dt
-    w_int = list(cell.basis.apply_int(coeffs))
+    w_int = list(z.image_on(cell.basis))
     s_int = [wi * fz - ti * ft for wi, ti in zip(w_int, t_int)]  # (z - t) * ds
-    coeffs = list(coeffs)
+    coeffs = list(z.coeffs)
     steps = 0
     while True:
         best_idx = None
@@ -203,10 +203,10 @@ def slicer_scaled(
             coeffs[i] += edge.coeffs[i]
         steps += 1
         if observer is not None:
-            observer(LatticePoint.from_coeffs(cell.basis, coeffs))
+            observer(LatticePoint(tuple(coeffs), tuple(w_int), cell.basis))
         if steps > HARD_STEP_LIMIT:
             raise ContractViolation("slicer exceeded the hard step limit")
-    return coeffs, w_int, steps
+    return LatticePoint(tuple(coeffs), tuple(w_int), cell.basis), steps
 
 
 def iterative_slicer(
@@ -221,8 +221,7 @@ def iterative_slicer(
     callable, if given, receives each intermediate lattice point.
     """
     (t_int,), dt = linalg.scaled_vectors(cell.n, t.coords)
-    coeffs, _, steps = slicer_scaled(cell, t_int, dt, z.coeffs, observer)
-    return LatticePoint.from_coeffs(cell.basis, coeffs), steps
+    return slicer_scaled(cell, t_int, dt, z, observer)
 
 
 def mv_walk(
@@ -235,7 +234,7 @@ def mv_walk(
     Deterministic thanks to lexicographic tie handling (which trades away
     the generic-position analysis, not correctness).
     """
-    (x_int, t_int), d = linalg.scaled_vectors(cell.n, x.ambient, t.coords)
+    (x_int, t_int), d = linalg.scaled_vectors(cell.n, x.ambient_on(cell.basis), t.coords)
     dist = cell.norm_scaled([ti - xi for xi, ti in zip(x_int, t_int)], d)
     if dist <= 1:  # t - x already in the cell
         return x, PathTrace(start=x, final=x, events=())
@@ -268,7 +267,7 @@ def randomized_straight_line(
     entirely.  Exceeding `max_edges` yields (TRUNCATED, partial trace);
     exact ties raise TieDetected for the caller to resample Z.
     """
-    vectors = (x.ambient, linalg.vec(z_sample), t.coords)
+    vectors = (x.ambient_on(cell.basis), linalg.vec(z_sample), t.coords)
     (x_int, z_int, t_int), d = linalg.scaled_vectors(cell.n, *vectors)
     # Z in the cell is exactly x + Z in the cell of x: phase B's start
     if not cell.membership_scaled(z_int, d):
@@ -290,12 +289,8 @@ def randomized_straight_line(
 
 def trace_to_jsonl(trace: PathTrace) -> str:
     """One JSON object per crossing: {"alpha": "p/q", "edge": [...], "phase": ...}."""
-    lines = []
-    for e in trace.events:
-        lines.append(
-            json.dumps(
-                {"alpha": str(e.alpha), "edge": [int(c) for c in e.edge.coeffs], "phase": e.phase},
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(
+        json.dumps({"alpha": str(e.alpha), "edge": list(e.edge.coeffs), "phase": e.phase},
+                   sort_keys=True) + "\n"
+        for e in trace.events
+    )

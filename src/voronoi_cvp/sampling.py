@@ -32,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolation
+from .lattice import LatticePoint
 from .linalg import Vec
 from .navigation import slicer_scaled
 from .voronoi import VoronoiCellData
@@ -95,6 +96,6 @@ def uniform_sample(
     half = 1 << (bits - 1)
     k = [stream.getrandbits(bits) - half for _ in range(cell.n)]
     dx = cell.basis.den << bits
-    x_int = cell.basis.apply_int(k)  # x = x_int / dx
-    _, y_int, _ = slicer_scaled(cell, x_int, dx, (0,) * cell.n)
-    return tuple(Fraction(xi - (yi << bits), dx) for xi, yi in zip(x_int, y_int))
+    x_int = LatticePoint.from_coeffs(cell.basis, k).image  # x = x_int / dx
+    y, _ = slicer_scaled(cell, x_int, dx, LatticePoint.origin(cell.n))
+    return tuple(Fraction(xi - (yi << bits), dx) for xi, yi in zip(x_int, y.image))

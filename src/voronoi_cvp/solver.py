@@ -77,7 +77,7 @@ def preprocess(
         raise ContractViolation("relevant vectors do not span the space")
     # F = F_int / den with the frame vectors as columns; F_int K = d I gives
     # F^-1 = den K / d
-    cols = [basis.apply_int(v.coeffs) for v in frame]
+    cols = [v.image for v in frame]
     inv, frame_den = linalg.inverse(tuple(zip(*cols)))
     return PreprocessedLattice(
         basis=basis,
@@ -154,7 +154,7 @@ class SolveResult:
 
 def certify(pre: PreprocessedLattice, t: Target, y: LatticePoint) -> bool:
     """Exact test that y is a closest lattice vector: t - y lies in the cell."""
-    (t_int, y_int), d = linalg.scaled_vectors(pre.basis.n, t.coords, y.ambient)
+    (t_int, y_int), d = linalg.scaled_vectors(pre.basis.n, t.coords, y.ambient_on(pre.basis))
     return pre.cell.membership_scaled([ti - yi for ti, yi in zip(t_int, y_int)], d)
 
 

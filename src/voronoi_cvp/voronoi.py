@@ -25,6 +25,7 @@ from .lattice import (
     DEFAULT_DIM_CAP,
     LatticeBasis,
     LatticePoint,
+    _json_list,
     basis_hash,
     canonical_json,
     coset_reps_mod2,
@@ -49,15 +50,13 @@ class VoronoiCellData:
     lambda1_sq: Fraction = field(init=False)
     outer_radius_sq: Fraction = field(init=False)
 
-    # the relevant vectors scaled by basis.den, and their squared norms
-    _vr_int: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    # the images basis.den * v of the relevant vectors, and their squared norms
+    _vr_int: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False, default=())
     _norm_int: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         den = self.basis.den
-        vr_int = tuple(self.basis.apply_int(v.coeffs) for v in self.vectors)
+        vr_int = tuple(v.image_on(self.basis) for v in self.vectors)
         norm_int = tuple(linalg.dot_int(w, w) for w in vr_int)
         if not norm_int:
             raise ContractViolation("a Voronoi cell needs relevant vectors")
@@ -126,7 +125,7 @@ def compute_relevant_vectors(
         if len(found) != 1:
             continue  # two or more +- pairs tie: no facet from this coset
         v = LatticePoint.from_coeffs(basis, found[0])
-        w = LatticePoint.from_coeffs(basis, tuple(-x for x in v.coeffs))
+        w = LatticePoint(tuple(-x for x in v.coeffs), tuple(-x for x in v.image), basis)
         lead = next(x for x in v.coeffs if x)
         out.extend((v, w) if lead > 0 else (w, v))
     return VoronoiCellData(basis=basis, vectors=tuple(out))
@@ -169,25 +168,33 @@ def save_cell(cell: VoronoiCellData, path) -> None:
         f.write("\n")
 
 
+def _json_int(value) -> int:
+    # a coefficient as `cell_to_obj` writes it (str(int)) or a JSON integer; not 1.0, True, " 1 "
+    if str(value) != str(int(value)):
+        raise TypeError(f"expected an integer entry, got {json.dumps(value)}")
+    return int(value)
+
+
 def cell_from_obj(obj: dict, basis: LatticeBasis) -> VoronoiCellData:
     """Rebuild a cell from cached coefficient vectors.
 
-    Ambient coordinates are recomputed from the basis; the cache is rejected
-    if its hash does not match the basis, if the structural invariants
-    (row length, facet-count bound, closure under negation) fail, or if its
-    sha256 checksum is missing or wrong: a truncated list that is still
-    closed under negation passes every other check and gives a larger cell.
+    The cache is rejected if `n` or a coefficient is not as `cell_to_obj` writes
+    it, if its hash does not match the basis, if the structural invariants (row
+    length, facet-count bound, closure under negation) fail, or if its sha256
+    checksum is missing or wrong: a truncated list that is still closed under
+    negation passes every other check and gives a larger cell.
     """
     try:
         cached_hash = obj["basis_hash"]
-        n = int(obj["n"])
-        vr_coeffs = [tuple(int(c) for c in row) for row in obj["vr"]]
+        n = obj["n"]
+        rows = [_json_list(r, "vr row") for r in _json_list(obj["vr"], "vr")]
+        vr_coeffs = [tuple(map(_json_int, r)) for r in rows]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed relevant-vector cache: {e}") from None
     if cached_hash != basis_hash(basis):
         raise InputError("relevant-vector cache does not match this basis")
-    if n != basis.n:
-        raise InputError("relevant-vector cache has wrong dimension")
+    if type(n) is not int or n != basis.n:  # booleans are not integers
+        raise InputError(f"relevant-vector cache has dimension {json.dumps(n)}, not {basis.n}")
     if not vr_coeffs or len(vr_coeffs) > 2 * (2**n - 1):
         raise InputError("relevant-vector cache has implausible size")
     if any(len(c) != n for c in vr_coeffs):

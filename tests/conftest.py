@@ -228,7 +228,7 @@ def fraction_cvp(
     """
     y = basis.coefficients_of(t.coords)
     rounded = tuple(round(a) for a in y)
-    seed_pt = basis.apply(rounded)
+    seed_pt = LatticePoint.from_coeffs(basis, rounded).ambient
     seed_sq = linalg.norm_sq(linalg.sub(t.coords, seed_pt))
     best, coeff_list = _ball_search(basis, t.coords, seed_sq, node_cap, shrink=True)
     pts = [LatticePoint.from_coeffs(basis, a) for a in coeff_list]
@@ -249,6 +249,12 @@ def shortest_vector(basis):
     return best, [p for p in nonzero if norm_sq(p.ambient) == best]
 
 
+def scaled_basis(basis: LatticeBasis, factor) -> LatticeBasis:
+    """The basis with every column multiplied by `factor`."""
+    f = linalg.frac(factor)
+    return LatticeBasis.from_columns(tuple(linalg.scale(f, c) for c in basis.columns))
+
+
 def relevant_vectors_by_coset(basis, dim_cap=DEFAULT_DIM_CAP):
     """Find the relevant vectors by minimizing each nonzero coset of 2L.
 
@@ -256,21 +262,20 @@ def relevant_vectors_by_coset(basis, dim_cap=DEFAULT_DIM_CAP):
     exactly when its minimum-norm element is unique up to sign; ties mean
     the coset induces no facet.
     """
-    doubled = basis.scaled(2)
+    doubled = scaled_basis(basis, 2)
     out: list[LatticePoint] = []
     for p in coset_reps_mod2(basis.n, dim_cap):
-        c = basis.apply(p)
+        c = LatticePoint.from_coeffs(basis, p).ambient
         sols = fraction_cvp(doubled, Target(coords=c))
         # minimum-norm coset elements are c - z over closest z in 2L
         if len(sols.points) != 2:
             continue  # tied minimizers: no facet from this coset
         v1, v2 = (
-            LatticePoint(
-                coeffs=tuple(pi - 2 * ai for pi, ai in zip(p, z.coeffs)),
-                ambient=sub(c, z.ambient),
-            )
+            LatticePoint.from_coeffs(basis, tuple(pi - 2 * ai for pi, ai in zip(p, z.coeffs)))
             for z in sols.points
         )
+        for v, z in zip((v1, v2), sols.points):
+            assert v.ambient == sub(c, z.ambient)
         if tuple(-x for x in v1.coeffs) != v2.coeffs:
             raise ContractViolation("coset minimizers are not a +- pair")
         lead = next(x for x in v1.coeffs if x)

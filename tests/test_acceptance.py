@@ -46,6 +46,7 @@ from conftest import (
     gamma_factor_for_dimension,
     gamma_sample,
     make_rng,
+    scaled_basis,
     theta_for_dimension,
     uniform_voronoi_rejection,
 )
@@ -143,7 +144,7 @@ def test_criterion_1_relevant_vector_correctness(random_corpus):
         for basis, cell in random_corpus:
             n = basis.n
             assert len(cell.vectors) <= 2 * (2**n - 1)
-            doubled = basis.scaled(2)
+            doubled = scaled_basis(basis, 2)
             zero = tuple(0 for _ in range(n))
             for v in cell.vectors:
                 # independent enumeration: the coset v + 2L has no element of

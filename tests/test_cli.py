@@ -7,6 +7,7 @@ import pytest
 
 from voronoi_cvp import experiments
 from voronoi_cvp.cli import main
+from voronoi_cvp.voronoi import _checksum
 
 
 def run_cli(capsys, *argv):
@@ -426,6 +427,22 @@ def test_cache_row_of_wrong_length_is_ignored(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["oracle-match"] is True
     assert "wrong length" in err
+
+
+def test_cache_with_a_float_entry_is_rewritten(tmp_path, capsys):
+    # a float coefficient under a valid checksum is not what `preprocess` writes
+    path = write_z2(tmp_path, capsys)
+    run_cli(capsys, "preprocess", str(path))
+    cache = tmp_path / "z2.json.vr.json"
+    obj = json.loads(cache.read_text())
+    obj["vr"][0][0] = float(obj["vr"][0][0])
+    obj["checksum"] = _checksum(obj)
+    cache.write_text(json.dumps(obj))
+    for warned in (True, False):
+        code, out, err = run_cli(capsys, "solve", str(path), "--target", "1/2,1/3", "--check")
+        assert code == 0 and json.loads(out)["oracle-match"] is True
+        assert ("expected an integer entry" in err) is warned
+    assert json.loads(cache.read_text())["vr"][0][0] == str(int(obj["vr"][0][0]))
 
 
 def test_truncated_cache_is_rejected(tmp_path, capsys):

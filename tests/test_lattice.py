@@ -5,8 +5,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from voronoi_cvp import (
+    ContractViolation,
     InputError,
     LatticeBasis,
+    LatticePoint,
     SizeCapError,
     Target,
     coset_reps_mod2,
@@ -123,10 +125,11 @@ def test_apply_is_the_column_combination(case):
     expected = [Fraction(0)] * basis.n
     for aj, col in zip(a, basis.columns):
         expected = [e + aj * x for e, x in zip(expected, col)]
-    assert basis.apply(a) == tuple(expected)
-    assert basis.apply_int(a) == tuple(basis.den * x for x in expected)
+    point = LatticePoint.from_coeffs(basis, a)
+    assert point.ambient == tuple(expected)
+    assert point.image == tuple(basis.den * x for x in expected)
     with pytest.raises(ValueError):
-        basis.apply(a + [0])
+        LatticePoint.from_coeffs(basis, a + [0])
 
 
 def test_coset_reps_lexicographic():
@@ -215,11 +218,35 @@ def test_target_object_must_hold_a_list():
     assert target_from_obj({"t": ["-1/2", 3]}).coords == (Fraction(-1, 2), 3)
 
 
+def test_origin_is_the_zero_point_of_every_basis():
+    for basis in (LatticeBasis.identity(3), LatticeBasis.from_rows([[1, 2, 0], [0, 3, 1], [1, 0, 5]])):
+        zero = LatticePoint.from_coeffs(basis, (0, 0, 0))
+        origin = LatticePoint.origin(3)
+        assert origin == zero and hash(origin) == hash(zero)
+        assert origin.ambient == zero.ambient == (Fraction(0),) * 3
+        assert origin.image_on(basis) == zero.image_on(basis) == (0, 0, 0)
+
+
+def test_point_compares_by_coeffs_and_keeps_its_image():
+    b = LatticeBasis.from_rows([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])
+    p = LatticePoint.from_coeffs(b, (3, -1))
+    assert p.image == (3, -4)
+    assert p.ambient == (Fraction(1, 2), Fraction(-2, 3))
+    # the same coefficients on another basis are the same (coefficient) point
+    assert p == LatticePoint.from_coeffs(LatticeBasis.identity(2), (3, -1))
+    # an equal basis built again is the same basis
+    assert p.image_on(LatticeBasis.from_rows([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])) == p.image
+    with pytest.raises(ContractViolation):
+        p.image_on(LatticeBasis.identity(2))
+    with pytest.raises(ContractViolation):
+        LatticePoint.origin(3).image_on(b)
+
+
 def test_from_rows_columns_consistency():
     b = LatticeBasis.from_rows([[1, 2], [3, 4]])
     assert b.columns == ((Fraction(1), Fraction(3)), (Fraction(2), Fraction(4)))
     assert b.rows() == ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))
-    assert b.apply((1, 1)) == (Fraction(3), Fraction(7))
+    assert LatticePoint.from_coeffs(b, (1, 1)).ambient == (Fraction(3), Fraction(7))
 
 
 def test_random_basis_respects_bounds_and_seeding():

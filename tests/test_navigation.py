@@ -4,6 +4,7 @@ import pytest
 
 from voronoi_cvp import (
     ContractViolation,
+    LatticeBasis,
     LatticePoint,
     Target,
     TieDetected,
@@ -14,6 +15,8 @@ from voronoi_cvp import (
     line_follow,
     membership,
     mv_walk,
+    certify,
+    preprocess,
     randomized_straight_line,
     voronoi_norm,
 )
@@ -329,3 +332,20 @@ def test_trace_jsonl_format(z2_cell):
         assert Fraction(obj["alpha"]) == e.alpha
         assert obj["phase"] in ("B", "C")
         assert tuple(obj["edge"]) == e.edge.coeffs
+
+
+def test_walks_refuse_a_point_of_another_basis(z2_cell):
+    # on Z^2 the coefficients (1, 0) of a point of 2Z^2 name (1, 0), not its (2, 0);
+    # the target lies in the cell of (2, 0), so the walks' early returns would hand it back
+    x = LatticePoint.from_coeffs(LatticeBasis.from_rows([[2, 0], [0, 2]]), (1, 0))
+    t = Target.of([F(21, 10), F(1, 10)])
+    walks = [
+        lambda: randomized_straight_line(z2_cell, x, t, (0, 0), 1),
+        lambda: mv_walk(z2_cell, t, x),
+        lambda: line_follow(z2_cell, x.ambient, t.coords, x),
+        lambda: iterative_slicer(z2_cell, t, x),
+        lambda: certify(preprocess(z2_cell.basis, z2_cell), t, x),
+    ]
+    for walk in walks:
+        with pytest.raises(ContractViolation, match="another basis"):
+            walk()

@@ -96,7 +96,7 @@ def test_cvp_matches_fraction_reference(rand_lattices, high_dim_cells):
     for basis in bases:
         a = [int(rng.integers(-3, 4)) for _ in range(basis.n)]
         cases.append((basis, [0] * basis.n, 1))  # 0 is never halved away
-        cases.append((basis, basis.apply(a), 1))
+        cases.append((basis, LatticePoint.from_coeffs(basis, a).ambient, 1))
         cases += [(basis, random_rational_target(basis, rng).coords, None) for _ in range(3)]
     for basis, coords, count in cases:
         t = Target.of(coords)

@@ -5,9 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from voronoi_cvp import (
+    ContractViolation,
     InputError,
     LatticeBasis,
+    LatticePoint,
     SizeCapError,
+    VoronoiCellData,
     compute_relevant_vectors,
     cvp_bruteforce,
     membership,
@@ -25,6 +28,7 @@ from conftest import (
     enumerate_ball,
     make_rng,
     relevant_vectors_by_coset,
+    scaled_basis,
     shortest_vector,
     sqrt_upper,
 )
@@ -97,7 +101,7 @@ def test_strict_coset_minimality_reverified(rand_lattices):
     # independent check: points of 2L within ||v|| of -v are exactly {0, -2v},
     # i.e. the coset v + 2L has no element of norm <= ||v|| besides +-v
     for basis, cell in rand_lattices[:2]:
-        doubled = basis.scaled(2)
+        doubled = scaled_basis(basis, 2)
         for v in cell.vectors[:6]:
             hits = enumerate_ball(
                 doubled, tuple(-x for x in v.ambient), norm_sq(v.ambient)
@@ -243,6 +247,41 @@ def test_cache_rejects_row_of_wrong_length(skew2_basis, skew2_cell):
     obj = cell_to_obj(skew2_cell)
     obj["vr"] = [["1", "0", "0"], ["-1", "0", "0"]]  # closed under negation, n = 2
     with pytest.raises(InputError, match="wrong length"):
+        cell_from_obj(obj, skew2_basis)
+
+
+def test_cell_rejects_points_of_another_basis(skew2_basis, skew2_cell):
+    doubled = scaled_basis(skew2_basis, 2)
+    foreign = tuple(LatticePoint.from_coeffs(doubled, v.coeffs) for v in skew2_cell.vectors)
+    with pytest.raises(ContractViolation, match="another basis"):
+        VoronoiCellData(basis=skew2_basis, vectors=foreign)
+    # points of an equal basis built again are accepted
+    again = LatticeBasis.from_rows([[2, 1], [0, 1]])
+    same = tuple(LatticePoint.from_coeffs(again, v.coeffs) for v in skew2_cell.vectors)
+    assert VoronoiCellData(basis=skew2_basis, vectors=same)._vr_int == skew2_cell._vr_int
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("vr", 1.7), ("vr", 1.0), ("vr", True), ("vr", " 1 "), ("vr", "+1"), ("vr", "1.0"),
+     ("vr", "01"), ("vr", None), ("vr", [1]), ("row", "10"), ("row", {"0": 1}),
+     ("n", 2.9), ("n", 2.0), ("n", "2"), ("n", True)],
+)
+def test_cache_accepts_only_what_the_writer_writes(skew2_basis, skew2_cell, field, bad):
+    # the checksum is recomputed around each bad value, so only the entry check can object
+    obj = cell_to_obj(skew2_cell)
+    i, k = next((i, k) for i, r in enumerate(obj["vr"]) for k, c in enumerate(r) if c == "1")
+    obj["vr"][i][k] = 1  # a JSON integer is fine
+    obj["checksum"] = voronoi._checksum(obj)
+    assert cell_from_obj(obj, skew2_basis) == skew2_cell
+    if field == "vr":
+        obj["vr"][i][k] = bad
+    elif field == "row":
+        obj["vr"][i] = bad
+    else:
+        obj["n"] = bad
+    obj["checksum"] = voronoi._checksum(obj)
+    with pytest.raises(InputError, match="malformed" if field != "n" else "dimension"):
         cell_from_obj(obj, skew2_basis)
 
 
