@@ -31,10 +31,6 @@ from .oracles import cvp_bruteforce
 ENV_PREFIX = "VORONOI_CVP_"
 
 
-def _env(name: str, default=None):
-    return os.environ.get(ENV_PREFIX + name, default)
-
-
 # ---------------------------------------------------------------------------
 # argument converters: malformed values fail at parse time with exit 2
 
@@ -120,20 +116,29 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
+#: Env-backed flags: an absent one is read per call from VORONOI_CVP_<NAME>, else the default.
+_ENV_FLAGS = {
+    "seed": (_int_at_least(0), "0"),
+    "precision_bits": (_int_at_least(sampling.MIN_PRECISION_BITS), "128"),
+    "dim_cap": (_int_at_least(1), "14"),
+    "format": (_output_format, "csv"),
+}
+
+
+def _resolve_env_flags(args) -> None:
+    for name, (convert, default) in _ENV_FLAGS.items():
+        if getattr(args, name) is None:
+            try:
+                setattr(args, name, convert(os.environ.get(ENV_PREFIX + name.upper(), default)))
+            except FlagError as e:
+                raise InputError(f"argument --{name.replace('_', '-')}: {e}") from None
+
+
 def _common_parser() -> argparse.ArgumentParser:
-    # string defaults pass through the converters, so bad environment values fail too
     p = _Parser(add_help=False)
-    p.add_argument("--seed", type=_int_at_least(0), default=_env("SEED", "0"))
-    p.add_argument(
-        "--precision-bits",
-        type=_int_at_least(sampling.MIN_PRECISION_BITS),
-        default=_env("PRECISION_BITS", "128"),
-    )
-    p.add_argument("--dim-cap", type=_int_at_least(1), default=_env("DIM_CAP", "14"))
+    for name, (convert, _) in _ENV_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=convert)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.add_argument(
-        "--format", type=_output_format, default=_env("FORMAT", "csv"), help="csv or json"
-    )
     p.add_argument(
         "--check", action="store_true", help="cross-check against the brute-force oracle"
     )
@@ -368,6 +373,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.trace_out and args.strategy == "slicer":
+        raise InputError("--trace-out needs a walk; the slicer strategy has no trace")
     basis = lattice.read_basis(args.basis)
     t = _load_target(args, basis.n)
     cell = _load_or_compute_cell(args, basis, args.basis)
@@ -403,7 +410,7 @@ def cmd_solve(args) -> int:
         oracle = cvp_bruteforce(basis, t)
         out["oracle-match"] = oracle.dist_sq == dist_sq
         out["oracle_dist_sq"] = str(oracle.dist_sq)
-    if args.trace_out and result.trace is not None:
+    if args.trace_out:
         Path(args.trace_out).write_text(trace_to_jsonl(result.trace))
     _emit(args, json.dumps(out, indent=1) + "\n")
     return 0
@@ -500,10 +507,14 @@ def cmd_graphdist(args) -> int:
     return 0
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_attach_signed_values(argv))
+        args = PARSER.parse_args(_attach_signed_values(argv))
+        _resolve_env_flags(args)
         return args.func(args)
     except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

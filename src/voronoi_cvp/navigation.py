@@ -4,10 +4,10 @@ Walkers move between lattice points whose cells share a facet.  The central
 primitive is one leg loop: starting inside a known cell, it tracks the
 sequence of cells a polyline of straight legs passes through, advancing an
 exact rational time parameter to the earliest facet-exit at each step.
-Every line walk is a list of legs for it: `line_follow` (one segment), a
-waypoint walker, and the three-phase randomized straight-line walk (shift
-by a cell sample Z, follow the shifted segment, then descend from the
-shifted target to a truncation point).  The greedy slicer stands apart.
+Every line walk is a list of legs for it: `line_follow` and `mv_walk` (one
+segment each) and the three-phase randomized straight-line walk (shift by a
+cell sample Z, follow the shifted segment, then descend from the shifted
+target to a truncation point).  The greedy slicer stands apart.
 
 Every comparison is exact; one step costs O(n |VR|) integer operations
 (quotients are compared by cross-multiplication, never divided out).
@@ -227,24 +227,16 @@ def iterative_slicer(
 def mv_walk(
     cell: VoronoiCellData, t: Target, x: LatticePoint
 ) -> tuple[LatticePoint, PathTrace]:
-    """Walk to the target cell via waypoints spaced <= 2 in the cell norm.
+    """Micciancio-Voulgaris walk: follow [x, t] from x to the cell of t.
 
-    Places ceil(||t - x||_V / 2) waypoints along [x, t] and follows the
-    polyline through them, each waypoint's cell seeding the next piece.
-    Deterministic thanks to lexicographic tie handling (which trades away
-    the generic-position analysis, not correctness).
+    MV pass waypoints on [x, t]; one leg suffices, since splitting a segment
+    does not change the cells an exact walk crosses, and at a waypoint on a
+    facet the next leg leaves at alpha = 0 through the same lexicographic
+    choice.  Alphas are measured along [x, t]; x lies in its own cell, so the
+    start needs no check.  Ties break lexicographically (deterministic).
     """
     (x_int, t_int), d = linalg.scaled_vectors(cell.n, x.ambient_on(cell.basis), t.coords)
-    dist = cell.norm_scaled([ti - xi for xi, ti in zip(x_int, t_int)], d)
-    if dist <= 1:  # t - x already in the cell
-        return x, PathTrace(start=x, final=x, events=())
-    k = linalg.ceil_frac(dist / 2)
-    # waypoint j is ((k - j) x + j t) / k, over the denominator k d
-    ways = [
-        [(k - j) * xi + j * ti for xi, ti in zip(x_int, t_int)] for j in range(k + 1)
-    ]
-    legs = [(a, b, PHASE_SHIFTED) for a, b in zip(ways, ways[1:])]
-    return _follow_legs(cell, x, legs, k * d, tie_break="lexicographic")
+    return _follow_legs(cell, x, [(x_int, t_int, PHASE_SHIFTED)], d, tie_break="lexicographic")
 
 
 def randomized_straight_line(

@@ -71,10 +71,10 @@ class SampleStream:
         )
 
     def getrandbits(self, k: int) -> int:
-        words = (k + 63) // 64
+        # raw PCG64 words: the same words as gen.integers(0, 2**64, dtype=np.uint64)
         val = 0
-        for w in self.gen.integers(0, 2**64, size=words, dtype=np.uint64):
-            val = (val << 64) | int(w)
+        for w in self.gen.bit_generator.random_raw((k + 63) // 64).tolist():
+            val = (val << 64) | w
         return val & ((1 << k) - 1)
 
 

@@ -79,17 +79,6 @@ class VoronoiCellData:
                 return False
         return True
 
-    def norm_scaled(self, x_int: Sequence[int], dx: int) -> Fraction:
-        """Exact cell norm of the point x_int / dx (dx > 0)."""
-        best_num, best_den = 0, 1
-        den2 = 2 * self.basis.den
-        for w, nv in zip(self._vr_int, self._norm_int):
-            num = den2 * linalg.dot_int(w, x_int)
-            den = nv * dx
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-        return Fraction(best_num, best_den)
-
 
 def compute_relevant_vectors(
     basis: LatticeBasis, dim_cap: int = DEFAULT_DIM_CAP
@@ -134,7 +123,13 @@ def compute_relevant_vectors(
 def voronoi_norm(cell: VoronoiCellData, x: Sequence[Fraction]) -> Fraction:
     """Smallest s >= 0 with x inside s times the cell: max_v 2 <v,x> / <v,v>."""
     (x_int,), dx = linalg.scaled_vectors(cell.n, linalg.vec(x))
-    return cell.norm_scaled(x_int, dx)
+    den2 = 2 * cell.basis.den
+    best_num, best_den = 0, 1
+    for w, nv in zip(cell._vr_int, cell._norm_int):
+        num, den = den2 * linalg.dot_int(w, x_int), nv * dx
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den)
 
 
 def membership(cell: VoronoiCellData, x: Sequence[Fraction]) -> bool:

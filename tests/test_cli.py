@@ -382,6 +382,18 @@ def test_env_var_seed_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert strip_wall_clock(out_flag)[0]["seed"] == "42"
 
 
+def test_env_is_read_on_every_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once; each call must still read the environment it runs in
+    path = write_z2(tmp_path, capsys)
+    argv = ("crossings", str(path), "--trials", "1", "--target", "3/2,1/3")
+    monkeypatch.setenv("VORONOI_CVP_FORMAT", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["records"][0]["row_type"] == "trial"
+    monkeypatch.setenv("VORONOI_CVP_FORMAT", "csv")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("row_type,trial,")
+
+
 def test_solve_uses_cache_when_present(tmp_path, capsys):
     path = write_z2(tmp_path, capsys)
     run_cli(capsys, "preprocess", str(path))
@@ -507,6 +519,8 @@ MALFORMED = {
     "seed-negative": ["solve", "--target", "1/2,1/3", "--seed", "-1"],
     "dim-cap": ["solve", "--target", "1/2,1/3", "--dim-cap", "0"],
     "strategy": ["solve", "--target", "1/2,1/3", "--strategy", "bogus"],
+    "slicer-trace-out": ["solve", "--target", "1/2,1/3", "--strategy", "slicer",
+                         "--trace-out", "slicer.jsonl"],
 }
 
 

@@ -23,6 +23,7 @@ from voronoi_cvp import (
 from voronoi_cvp.linalg import ceil_frac, norm_sq, sub
 from voronoi_cvp.navigation import trace_to_jsonl
 from voronoi_cvp.sampling import SamplerConfig, stream_for
+from voronoi_cvp.solver import round_to_start
 
 from conftest import make_rng, uniform_voronoi_rejection
 
@@ -214,6 +215,34 @@ def test_mv_walk_matches_oracle_with_length_bound(rand_lattices):
             assert norm_sq(sub(t.coords, y.ambient)) == sols.dist_sq
             pieces = ceil_frac(voronoi_norm(cell, sub(t.coords, x.ambient)) / 2)
             assert len(tr.events) <= (2**n) * max(1, pieces)
+
+
+def test_mv_walk_is_the_lexicographic_line_walk(z2_cell, rand_lattices):
+    # one exact leg along [x, t]: the same end, edges, alphas and phases as
+    # line_follow, on half-lattice-point targets, generic ones and, on Z^2,
+    # diagonals through cell vertices, where the lexicographic choice decides
+    rng = make_rng(14)
+    ties = 0
+    diagonals = [Target.of([F(k, 2), F(k, 2)]) for k in (-5, 3, 4)]
+    for cell, targets in [(z2_cell, list(diagonals))] + [(c, []) for _, c in rand_lattices]:
+        basis, n = cell.basis, cell.n
+        pre = preprocess(basis, cell)
+        for k in range(16):
+            if k % 2:
+                coords = [F(int(rng.integers(-300, 301)), 37) for _ in range(n)]
+            else:
+                c = [int(rng.integers(-9, 10)) for _ in range(n)]
+                coords = [a / 2 for a in LatticePoint.from_coeffs(basis, c).ambient]
+            targets.append(Target.of(coords))
+        for t in targets:
+            for x in (round_to_start(pre, t), LatticePoint.origin(n)):
+                line = line_follow(cell, x.ambient, t.coords, x, tie_break="lexicographic")
+                assert mv_walk(cell, t, x) == line
+                try:
+                    line_follow(cell, x.ambient, t.coords, x)
+                except TieDetected:
+                    ties += 1
+    assert ties >= len(diagonals)  # each diagonal ties from the origin
 
 
 def test_rsl_frozen_example(z2_cell):

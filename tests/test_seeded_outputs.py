@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PINNED = "ce571fce7627ea0ae56961d0fe8a3e12c010bd173396b7c3d19802cfcd418b4f"
+PINNED = "dd9834c681fcff8d3c3182238d5c65377183d10d15787d222b8942dfe460913b"
 
 
 def test_seeded_outputs_hash_is_pinned():
