@@ -138,6 +138,13 @@ class LatticePoint:
     def ambient_on(self, basis: LatticeBasis) -> Vec:
         return tuple(Fraction(x, basis.den) for x in self.image_on(basis))
 
+    def scaled_with(self, basis: LatticeBasis, *vectors: Sequence[Fraction]):
+        """((k_0, k_1, ...), d): the point is k_0 / d and vectors[i] is k_(i+1) / d, one lcm."""
+        ks, dv = linalg.scaled_vectors(basis.n, *vectors)
+        d = lcm(basis.den, dv)
+        image = tuple(d // basis.den * x for x in self.image_on(basis))
+        return (image, *(tuple(d // dv * x for x in k) for k in ks)), d
+
 
 @dataclass(frozen=True)
 class Target:

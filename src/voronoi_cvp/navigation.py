@@ -9,8 +9,9 @@ segment each) and the three-phase randomized straight-line walk (shift by a
 cell sample Z, follow the shifted segment, then descend from the shifted
 target to a truncation point).  The greedy slicer stands apart.
 
-Every comparison is exact; one step costs O(n |VR|) integer operations
-(quotients are compared by cross-multiplication, never divided out).
+Every comparison is exact; one step costs O(n |VR|) integer operations:
+one int64 matrix product where `VoronoiCellData.scan` proves it exact,
+else Python integers (quotients are compared exactly, never as floats).
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import linalg
 from .errors import ContractViolation, TieDetected
@@ -73,6 +76,21 @@ def count_crossings(trace: PathTrace) -> tuple[int, int]:
     return b, len(trace.events) - b
 
 
+def _earliest_exits(cell: VoronoiCellData, rows, q, w_int, a_int, dl) -> tuple[list[int], Fraction]:
+    """The facets among `rows` (q = <v, b - a> > 0) left first, in `rows` order, and the exit
+    time p / (2 den q), p = dl <v, v> + 2 <v, dl w - den a>, of the least floor(p / q) rows."""
+    den, vr, nv = cell.basis.den, cell._vr_int, cell._norm_int
+    wa = [2 * (dl * wi - den * ai) for wi, ai in zip(w_int, a_int)]
+    p = cell.scan(wa, 1, dl, rows)
+    if p is None:  # Python integers
+        p = np.array([dl * nv[i] + linalg.dot_int(vr[i], wa) for i in rows.tolist()], dtype=object)
+    floor = p // q
+    near = np.flatnonzero(floor == floor.min())
+    exits = [Fraction(pi, qi) for pi, qi in zip(p[near].tolist(), q[near].tolist())]
+    least = min(exits)
+    return [i for i, e in zip(rows[near].tolist(), exits) if e == least], least / (2 * den)
+
+
 def _follow_legs(
     cell: VoronoiCellData,
     z: LatticePoint,
@@ -102,43 +120,49 @@ def _follow_legs(
     coeffs = list(z.coeffs)
     events: list[CrossingEvent] = []
     for a_int, b_int, phase in legs:
-        d_int = [bi - ai for ai, bi in zip(a_int, b_int)]
         leg_start = len(events)
-        # candidate exit facets: indices with positive direction component
-        cand = []
-        for idx, v_int in enumerate(cell._vr_int):
-            q = linalg.dot_int(v_int, d_int)
-            if q > 0:
-                cand.append((idx, v_int, q, 2 * den * linalg.dot_int(v_int, a_int)))
-        while cand:
-            best: list[tuple] = []
-            best_p = best_q = None
-            for idx, v_int, q, va in cand:
-                # exit time of facet idx is p / (2 den q)
-                p = (cell._norm_int[idx] + 2 * linalg.dot_int(v_int, w_int)) * dl - va
-                if best_p is None or p * best_q < best_p * q:
-                    best_p, best_q = p, q
-                    best = [(idx, v_int, q, p)]
-                elif p * best_q == best_p * q:
-                    best.append((idx, v_int, q, p))
-            # alpha >= 1: b is inside the current cell
-            if best_p >= 2 * den * best_q:
-                break
-            if len(best) > 1:
-                tied = [cell.vectors[i] for i, _, _, _ in best]
+        # candidate exit facets: positive direction component q = <v, b - a>
+        d_int = [bi - ai for ai, bi in zip(a_int, b_int)]
+        q_rows = cell.scan(d_int, 1, 0)
+        if q_rows is not None:
+            cand = np.flatnonzero(q_rows > 0)
+            q_rows = q_rows[cand]
+        else:  # beyond the int64 bound: Python integers for the whole leg
+            cand = []
+            for idx, v_int in enumerate(cell._vr_int):
+                q = linalg.dot_int(v_int, d_int)
+                if q > 0:
+                    cand.append((idx, v_int, q, 2 * den * linalg.dot_int(v_int, a_int)))
+        while len(cand):
+            if q_rows is not None:
+                best, alpha = _earliest_exits(cell, cand, q_rows, w_int, a_int, dl)
+                if alpha >= 1:
+                    break  # b is inside the current cell
+            else:
+                best, best_p, best_q = [], None, None
+                for idx, v_int, q, va in cand:
+                    # exit time of facet idx is p / (2 den q)
+                    p = (cell._norm_int[idx] + 2 * linalg.dot_int(v_int, w_int)) * dl - va
+                    if best_p is None or p * best_q < best_p * q:
+                        best, best_p, best_q = [idx], p, q
+                    elif p * best_q == best_p * q:
+                        best.append(idx)
+                if best_p >= 2 * den * best_q:
+                    break  # alpha >= 1: b is inside the current cell
                 alpha = Fraction(best_p, 2 * den * best_q)
+            if len(best) > 1:
+                tied = [cell.vectors[i] for i in best]
                 if tie_break == "error":
                     raise TieDetected(tied, alpha, len(events) - leg_start)
-                best.sort(key=lambda item: cell.vectors[item[0]].coeffs)
+                best.sort(key=lambda i: cell.vectors[i].coeffs)
             if max_edges is not None and len(events) >= max_edges:
                 w = LatticePoint(tuple(coeffs), tuple(w_int), cell.basis)
                 return TRUNCATED, PathTrace(start=z, final=w, events=tuple(events))
-            idx, v_int, q, p = best[0]
-            edge = cell.vectors[idx]
+            v_int, edge = cell._vr_int[best[0]], cell.vectors[best[0]]
             for i in range(len(w_int)):
                 w_int[i] += v_int[i]
                 coeffs[i] += edge.coeffs[i]
-            events.append(CrossingEvent(alpha=Fraction(p, 2 * den * q), edge=edge, phase=phase))
+            events.append(CrossingEvent(alpha=alpha, edge=edge, phase=phase))
             if len(events) > HARD_STEP_LIMIT:
                 raise ContractViolation("line following exceeded the hard step limit")
 
@@ -166,8 +190,7 @@ def line_follow(
     TieDetected; "lexicographic" picks the tied edge with smallest
     coefficient vector (deterministic, used by deterministic callers).
     """
-    vectors = (z.ambient_on(cell.basis), linalg.vec(a), linalg.vec(b))
-    (z_int, a_int, b_int), d = linalg.scaled_vectors(cell.n, *vectors)
+    (z_int, a_int, b_int), d = z.scaled_with(cell.basis, linalg.vec(a), linalg.vec(b))
     if not cell.membership_scaled([ai - zi for ai, zi in zip(a_int, z_int)], d):
         raise ContractViolation("line_follow start point is not in the start cell")
     return _follow_legs(cell, z, [(a_int, b_int, PHASE_SHIFTED)], d, tie_break=tie_break)
@@ -185,14 +208,16 @@ def slicer_scaled(
     coeffs = list(z.coeffs)
     steps = 0
     while True:
-        best_idx = None
-        best_delta = 0
-        for idx, v_int in enumerate(cell._vr_int):
-            # ||z + v - t||^2 - ||z - t||^2 < 0, scaled by den^2 * ds > 0
-            delta = 2 * den * linalg.dot_int(v_int, s_int) + cell._norm_int[idx] * ds
-            if delta < best_delta:
-                best_delta = delta
-                best_idx = idx
+        # the first least ||z + v - t||^2 - ||z - t||^2 < 0, scaled by den^2 * ds > 0
+        delta = cell.scan(s_int, 2 * den, ds)
+        if delta is not None:
+            best_idx = int(np.argmin(delta)) if delta.min() < 0 else None
+        else:  # Python integers
+            best_idx, best_delta = None, 0
+            for idx, v_int in enumerate(cell._vr_int):
+                d = 2 * den * linalg.dot_int(v_int, s_int) + cell._norm_int[idx] * ds
+                if d < best_delta:
+                    best_idx, best_delta = idx, d
         if best_idx is None:
             break
         v_int = cell._vr_int[best_idx]
@@ -235,7 +260,7 @@ def mv_walk(
     choice.  Alphas are measured along [x, t]; x lies in its own cell, so the
     start needs no check.  Ties break lexicographically (deterministic).
     """
-    (x_int, t_int), d = linalg.scaled_vectors(cell.n, x.ambient_on(cell.basis), t.coords)
+    (x_int, t_int), d = x.scaled_with(cell.basis, t.coords)
     return _follow_legs(cell, x, [(x_int, t_int, PHASE_SHIFTED)], d, tie_break="lexicographic")
 
 
@@ -259,8 +284,7 @@ def randomized_straight_line(
     entirely.  Exceeding `max_edges` yields (TRUNCATED, partial trace);
     exact ties raise TieDetected for the caller to resample Z.
     """
-    vectors = (x.ambient_on(cell.basis), linalg.vec(z_sample), t.coords)
-    (x_int, z_int, t_int), d = linalg.scaled_vectors(cell.n, *vectors)
+    (x_int, z_int, t_int), d = x.scaled_with(cell.basis, linalg.vec(z_sample), t.coords)
     # Z in the cell is exactly x + Z in the cell of x: phase B's start
     if not cell.membership_scaled(z_int, d):
         raise ContractViolation("perturbation sample is not in the cell")

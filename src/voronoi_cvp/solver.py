@@ -98,11 +98,12 @@ def round_to_start(pre: PreprocessedLattice, t: Target) -> LatticePoint:
     """
     (t_int,), dt = linalg.scaled_vectors(pre.basis.n, t.coords)
     d = pre.frame_den * dt
-    rounded = [round(Fraction(linalg.dot_int(row, t_int), d)) for row in pre.frame_inverse_int]
     coeffs = [0] * pre.basis.n
-    for r, v in zip(rounded, pre.frame):
+    for row, v in zip(pre.frame_inverse_int, pre.frame):
+        q, r = divmod(linalg.dot_int(row, t_int), d)
+        q += 2 * r + (q & 1) > d  # half to even: up iff 2r > d, or 2r = d and q is odd
         for i, c in enumerate(v.coeffs):
-            coeffs[i] += r * c
+            coeffs[i] += q * c
     return LatticePoint.from_coeffs(pre.basis, coeffs)
 
 
@@ -154,7 +155,7 @@ class SolveResult:
 
 def certify(pre: PreprocessedLattice, t: Target, y: LatticePoint) -> bool:
     """Exact test that y is a closest lattice vector: t - y lies in the cell."""
-    (t_int, y_int), d = linalg.scaled_vectors(pre.basis.n, t.coords, y.ambient_on(pre.basis))
+    (y_int, t_int), d = y.scaled_with(pre.basis, t.coords)
     return pre.cell.membership_scaled([ti - yi for ti, yi in zip(t_int, y_int)], d)
 
 

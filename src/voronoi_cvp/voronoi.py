@@ -8,7 +8,8 @@ makes membership and the cell norm exactly decidable for rational input.
 Hot paths (membership, norm) run on integer-scaled copies of the data:
 with v = v_int / D (D the basis's common denominator) and x = x_int / Dx,
 the facet inequality becomes 2 D <v_int, x_int> <= <v_int, v_int> Dx, a
-pure integer predicate.
+pure integer predicate, scanned as one int64 matrix product wherever the
+O(n) bound of `VoronoiCellData.scan` proves it exact.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from math import isqrt
+from typing import Optional, Sequence
+
+import numpy as np
 
 from . import linalg
 from .errors import ContractViolation, InputError
@@ -53,6 +57,10 @@ class VoronoiCellData:
     # the images basis.den * v of the relevant vectors, and their squared norms
     _vr_int: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False, default=())
     _norm_int: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    # the same as int64 arrays, None if a norm does not fit; bounds: >= every |v|_1, max norm
+    _vr_np: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
+    _norm_np: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
+    _bounds: tuple[int, int] = field(init=False, repr=False, compare=False, default=(0, 0))
 
     def __post_init__(self):
         den = self.basis.den
@@ -66,15 +74,35 @@ class VoronoiCellData:
         )
         object.__setattr__(self, "_vr_int", vr_int)
         object.__setattr__(self, "_norm_int", norm_int)
+        object.__setattr__(self, "_bounds", (isqrt(self.n * max(norm_int)) + 1, max(norm_int)))
+        if max(norm_int) < 1 << 63:  # a norm bounds the square of each entry
+            object.__setattr__(self, "_vr_np", np.array(vr_int, dtype=np.int64))
+            object.__setattr__(self, "_norm_np", np.array(norm_int, dtype=np.int64))
 
     @property
     def n(self) -> int:
         return self.basis.n
 
+    def scan(self, x: Sequence[int], c1: int, c2: int, rows: Optional[np.ndarray] = None):
+        """c1 <v, x> + c2 <v, v> over the relevant images v (or `rows`) as one int64 product, or
+        None unless |c1| sqrt(n max <v, v>) max(1, max|x|) + |c2| max <v, v> < 2^63 (exact)."""
+        l1_max, norm_max = self._bounds
+        bound = abs(c2) * norm_max  # alone first: for a cell sample it fails already
+        if self._vr_np is None or bound >= 1 << 63 or (
+                bound + abs(c1) * l1_max * max(1, *map(abs, x)) >= 1 << 63):
+            return None
+        vr, nv = self._vr_np, self._norm_np
+        if rows is not None:
+            vr, nv = vr[rows], nv[rows]
+        return vr @ np.array(x, dtype=np.int64) * c1 + nv * c2
+
     def membership_scaled(self, x_int: Sequence[int], dx: int) -> bool:
         """Exact membership of the point x_int / dx (dx > 0)."""
         den2 = 2 * self.basis.den
-        for w, nv in zip(self._vr_int, self._norm_int):
+        s = self.scan(x_int, den2, -dx)
+        if s is not None:
+            return not (s > 0).any()
+        for w, nv in zip(self._vr_int, self._norm_int):  # Python integers
             if den2 * linalg.dot_int(w, x_int) > nv * dx:
                 return False
         return True
@@ -123,13 +151,13 @@ def compute_relevant_vectors(
 def voronoi_norm(cell: VoronoiCellData, x: Sequence[Fraction]) -> Fraction:
     """Smallest s >= 0 with x inside s times the cell: max_v 2 <v,x> / <v,v>."""
     (x_int,), dx = linalg.scaled_vectors(cell.n, linalg.vec(x))
-    den2 = 2 * cell.basis.den
+    dots = cell.scan(x_int, 1, 0)
+    dots = [linalg.dot_int(w, x_int) for w in cell._vr_int] if dots is None else dots.tolist()
     best_num, best_den = 0, 1
-    for w, nv in zip(cell._vr_int, cell._norm_int):
-        num, den = den2 * linalg.dot_int(w, x_int), nv * dx
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
-    return Fraction(best_num, best_den)
+    for num, nv in zip(dots, cell._norm_int):
+        if num * best_den > best_num * nv:
+            best_num, best_den = num, nv
+    return Fraction(2 * cell.basis.den * best_num, best_den * dx)
 
 
 def membership(cell: VoronoiCellData, x: Sequence[Fraction]) -> bool:

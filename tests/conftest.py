@@ -3,7 +3,8 @@
 The reference tools have no caller in the package: an exact rejection
 sampler, Gamma radial draws, a `Fraction` ball enumerator with the
 closest-vector search and shortest-vector oracle built on it, the
-per-coset relevant-vector search, and exact rank.
+per-coset relevant-vector search, exact rank, and a `dot_int` loop over the
+relevant vectors for the cell's int64 scans.
 """
 
 from fractions import Fraction
@@ -80,6 +81,17 @@ def uniform_voronoi_rejection(cell, cfg, stream=None, attempt_cap=200_000):
         if cell.membership_scaled(x_int, dx):
             return tuple(Fraction(xi, dx) for xi in x_int)
     raise SizeCapError("rejection sampler exceeded its attempt cap")
+
+
+def reference_scan(cell, x, c1, c2, rows=None):
+    """c1 <v, x> + c2 <v, v> over the relevant images v (or the `rows` among them).
+
+    A `dot_int` loop on Python integers, returned as an object array: a
+    stand-in for `VoronoiCellData.scan` that is exact at any size.
+    """
+    idx = range(len(cell.vectors)) if rows is None else rows
+    vr, nv = cell._vr_int, cell._norm_int
+    return np.array([c1 * linalg.dot_int(vr[i], x) + c2 * nv[i] for i in idx], dtype=object)
 
 
 def gamma_sample(k: int, theta: float, stream) -> float:

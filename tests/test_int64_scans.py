@@ -1,0 +1,219 @@
+"""The cell's int64 scans against Python integers.
+
+Every scan over the relevant vectors is one int64 matrix product where
+`VoronoiCellData.scan` proves it exact.  Each check runs a function three
+ways: as it is, with `scan` replaced by the `dot_int` reference loop of
+conftest (the same code around the product, on exact values), and with
+`scan` proving nothing, so that every caller takes its own Python-integer
+path.  The three outcomes must agree, ties and `TieDetected` included.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from voronoi_cvp import (
+    LatticeBasis,
+    LatticePoint,
+    Target,
+    TieDetected,
+    VoronoiCellData,
+    compute_relevant_vectors,
+    iterative_slicer,
+    line_follow,
+    membership,
+    mv_walk,
+    randomized_straight_line,
+    voronoi_norm,
+)
+from voronoi_cvp.navigation import slicer_scaled
+
+from conftest import A2_PLUS_LINE, D4, make_rng, reference_scan, scaled_basis
+
+F = Fraction
+K = 1000  # a facet centre v/2 is K v / (2 den K); one unit of K nudges it in or out
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except TieDetected as e:
+        return "tie", e.alpha, [v.coeffs for v in e.tied], e.step
+
+
+def three_ways(monkeypatch, fn):
+    """fn() on the int64 products, on the reference loop and on the Python paths,
+    and for the first run, whether each scan it made was an int64 product."""
+    scan = VoronoiCellData.scan
+    exact = []
+
+    def spy(self, *args):
+        out = scan(self, *args)
+        exact.append(out is not None)
+        return out
+
+    runs = []
+    for stand_in in (spy, reference_scan, lambda *args: None):
+        monkeypatch.setattr(VoronoiCellData, "scan", stand_in)
+        runs.append(outcome(fn))
+    monkeypatch.setattr(VoronoiCellData, "scan", scan)
+    return runs, exact
+
+
+def facet_points(cell, count=6):
+    """(x_int, dx, k): the facet centres v/2 of the first `count` relevant v as
+    k v / (2 den K), for k = K and nudged one unit inward (K - 1) and outward (K + 1)."""
+    den2 = 2 * cell.basis.den
+    for v in cell._vr_int[:count]:
+        for k in (K, K - 1, K + 1):
+            yield tuple(k * c for c in v), den2 * K, k
+
+
+@pytest.fixture(scope="module")
+def cells(high_dim_cells, rand_lattices, z2_cell):
+    ties = [compute_relevant_vectors(b) for b in (A2_PLUS_LINE, D4)]
+    return [high_dim_cells[6], high_dim_cells[7], *(c for _, c in rand_lattices), z2_cell, *ties]
+
+
+def test_membership_and_norm_match_the_python_path(cells, monkeypatch):
+    for cell in cells:
+        for x_int, dx, k in facet_points(cell):
+            runs, exact = three_ways(monkeypatch, lambda: cell.membership_scaled(x_int, dx))
+            assert runs == [k <= K] * 3 and exact == [True]
+            x = [F(c, dx) for c in x_int]
+            runs, exact = three_ways(monkeypatch, lambda: voronoi_norm(cell, x))
+            assert runs == [F(k, K)] * 3 and exact == [True]
+
+
+def slicer_path(cell, t_int, dt, z):
+    path = []
+    y, steps = slicer_scaled(cell, t_int, dt, z, path.append)
+    return y, steps, [p.coeffs for p in path]
+
+
+def test_slicer_matches_the_python_path(cells, monkeypatch):
+    for cell in cells:
+        # the facet centre ties 0 with v, so from the origin it is not improved on
+        for z in (LatticePoint.origin(cell.n), cell.vectors[-1]):
+            for x_int, dx, _ in facet_points(cell):
+                runs, exact = three_ways(monkeypatch, lambda: slicer_path(cell, x_int, dx, z))
+                assert runs[0] == runs[1] == runs[2] and exact and all(exact)
+
+
+def test_walks_match_the_python_path(cells, monkeypatch):
+    for cell in cells:
+        x = cell.vectors[0]
+        shift = [3 * F(c, cell.basis.den) for c in cell._vr_int[2]]
+        z_sample = [F(c * (K - 1), 2 * cell.basis.den * K) for c in cell._vr_int[1]]
+        for x_int, dx, _ in facet_points(cell, 4):
+            # a facet centre (or its nudge) three lattice steps away: several crossings
+            t = Target.of([F(c, dx) + s for c, s in zip(x_int, shift)])
+            walks = (
+                lambda: mv_walk(cell, t, x),
+                lambda: line_follow(cell, x.ambient, t.coords, x, tie_break="lexicographic"),
+                lambda: line_follow(cell, x.ambient, t.coords, x),
+                lambda: randomized_straight_line(cell, x, t, z_sample, F(1, 2)),
+            )
+            for walk in walks:
+                runs, exact = three_ways(monkeypatch, walk)
+                assert runs[0] == runs[1] == runs[2] and exact and all(exact)
+
+
+def test_ties_match_the_python_path(z2_cell, monkeypatch):
+    d4_cell = compute_relevant_vectors(D4)
+    origin2, origin4 = LatticePoint.origin(2), LatticePoint.origin(4)
+    # on Z^2 the descent to (5/8, 5/8) with Z on the diagonal passes the vertex (1/2, 1/2)
+    x = LatticePoint.from_coeffs(z2_cell.basis, (-1, 0))
+    t = Target.of([F(5, 8), F(5, 8)])
+    walk = lambda: randomized_straight_line(z2_cell, x, t, (F(-1, 4), F(-1, 4)), F(1, 32))
+    runs, exact = three_ways(monkeypatch, walk)
+    assert runs == [("tie", F(16, 31), [(0, 1), (1, 0)], 0)] * 3 and all(exact)
+    # segments through the vertex (1/2, 1/2) of Z^2 and the vertex e_1 of D4's cell,
+    # where the coset of 2 e_1 ties: an error, or one lexicographic walk
+    for cell, z, b in (
+        (z2_cell, origin2, (F(7, 4), F(7, 4))),
+        (d4_cell, origin4, (F(5, 2), 0, 0, 0)),
+    ):
+        a = (0,) * cell.n
+        for tie_break in ("error", "lexicographic"):
+            walk = lambda: line_follow(cell, a, b, z, tie_break=tie_break)
+            runs, exact = three_ways(monkeypatch, walk)
+            assert runs[0] == runs[1] == runs[2] and exact and all(exact)
+            assert (runs[0][0] == "tie") == (tie_break == "error")
+        runs, _ = three_ways(monkeypatch, lambda: mv_walk(cell, Target.of(b), z))
+        assert runs[0] == runs[1] == runs[2]
+
+
+def test_scans_switch_to_python_integers_at_the_bound(high_dim_cells, monkeypatch):
+    cell = high_dim_cells[7]
+    den2 = 2 * cell.basis.den
+    l1_max, norm_max = cell._bounds
+    v = cell._vr_int[0]
+    # for x = k v over dx = den2 k the bound is k den2 (l1_max max|v| + max <v_int, v_int>)
+    top = (2**63 - 1) // (den2 * (l1_max * max(map(abs, v)) + norm_max))
+    for k in (top, top + 1):
+        x_int, dx = tuple(k * c for c in v), den2 * k
+        scan = cell.scan(x_int, den2, -dx)
+        assert (scan is not None) == (k == top)
+        if scan is not None:
+            assert scan.dtype == np.int64
+            assert scan.tolist() == reference_scan(cell, x_int, den2, -dx).tolist()
+            # some entries sit within a factor 64 of the int64 limit
+            assert max(map(abs, scan.tolist())) > 2**57
+        for nudge in (0, -1, 1):
+            y_int = tuple((k + nudge) * c for c in v)
+            runs, _ = three_ways(monkeypatch, lambda: cell.membership_scaled(y_int, dx))
+            assert runs == [nudge <= 0] * 3
+        # the slicer scans (z - t) ds with ds = dx, the same bound
+        z0 = LatticePoint.origin(cell.n)
+        runs, exact = three_ways(monkeypatch, lambda: slicer_path(cell, x_int, dx, z0))
+        assert runs[0] == runs[1] == runs[2] and exact[0] == (k == top)
+    # past the facet from the origin: the crossing is found on int64, but the
+    # next exit times, from the cell of v, exceed the bound and take Python integers
+    t = Target.of([F((top + 1) * c, den2 * top) for c in v])
+    runs, exact = three_ways(monkeypatch, lambda: mv_walk(cell, t, LatticePoint.origin(cell.n)))
+    assert runs[0] == runs[1] == runs[2]
+    assert [e.edge.coeffs for e in runs[0][1].events] == [cell.vectors[0].coeffs]
+    assert True in exact and False in exact
+
+
+def test_a_basis_past_int64_takes_python_integers(rand_lattices, monkeypatch):
+    s = 2**64  # every image entry is past int64
+    for basis, small in rand_lattices[:3]:
+        big = compute_relevant_vectors(scaled_basis(basis, s))
+        assert big._vr_np is None and small._vr_np is not None
+        assert [v.coeffs for v in big.vectors] == [v.coeffs for v in small.vectors]
+        origin = LatticePoint.origin(basis.n)
+        for x_int, dx, _ in facet_points(small, 4):
+            x = [F(c, dx) for c in x_int]
+            t = [s * c for c in x]
+            runs, exact = three_ways(monkeypatch, lambda: membership(big, t))
+            assert runs == [membership(small, x)] * 3 and exact == [False]
+            assert voronoi_norm(big, t) == voronoi_norm(small, x)
+            yb, steps_b = iterative_slicer(big, Target.of(t), origin)
+            ys, steps_s = iterative_slicer(small, Target.of(x), origin)
+            assert (yb.coeffs, steps_b) == (ys.coeffs, steps_s)
+            far = Target.of([3 * c for c in t])
+            _, trace = mv_walk(big, far, origin)
+            _, ref = mv_walk(small, Target.of([3 * c for c in x]), origin)
+            assert trace.events == ref.events
+
+
+def test_a_large_denominator_with_small_images(monkeypatch):
+    # images of 1 over den = 2^70: the factor 2 den of a scan does not fit in int64
+    cell = compute_relevant_vectors(LatticeBasis.from_rows([[F(1, 2**70)]]))
+    assert cell._vr_np is not None
+    for x, inside in (((0,), True), ((F(1, 2**71),), True), ((F(1, 2**71) + F(1, 2**90),), False)):
+        runs, exact = three_ways(monkeypatch, lambda: membership(cell, x))
+        assert runs == [inside] * 3 and exact == [False]
+
+
+def test_point_scaled_with_vectors_matches_fractions(rand_lattices):
+    rng = make_rng(5)
+    for basis, cell in rand_lattices:
+        for v in cell.vectors[:4]:
+            t = [F(int(rng.integers(-99, 100)), int(rng.integers(1, 40))) for _ in range(basis.n)]
+            (k0, k1), d = v.scaled_with(basis, t)
+            assert d % basis.den == 0
+            assert [F(c, d) for c in k0] == list(v.ambient) and [F(c, d) for c in k1] == t

@@ -115,6 +115,25 @@ def test_round_half_to_even(z2_pre):
         assert round_to_start(pre, t).coeffs == tuple(expected)
 
 
+def test_round_to_start_matches_fraction_rounding(rand_lattices):
+    # targets at chosen frame coordinates h: random rationals of either sign and exact
+    # halves; the integer rounding must equal round(Fraction), half to even
+    rng = make_rng(17)
+    for basis, cell in rand_lattices:
+        pre = preprocess(basis, cell)
+        for trial in range(24):
+            n = basis.n
+            if trial % 2:
+                h = [F(2 * int(rng.integers(-9, 10)) + 1, 2) for _ in range(n)]
+            else:
+                h = [F(int(rng.integers(-999, 1000)), int(rng.integers(1, 60))) for _ in range(n)]
+            t = Target.of([sum(hi * v.ambient[i] for hi, v in zip(h, pre.frame)) for i in range(n)])
+            expected = [0] * basis.n
+            for hi, v in zip(h, pre.frame):
+                expected = [e + round(hi) * c for e, c in zip(expected, v.coeffs)]
+            assert round_to_start(pre, t).coeffs == tuple(expected)
+
+
 def test_wrong_dimension_target_is_rejected(z2_pre):
     # the query path scales a target together with lattice points, so a
     # target of the wrong length must raise, not be read as a shorter one
