@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import exp, log, sqrt
@@ -81,24 +81,15 @@ class RunManifest:
     )
 
     def stable_obj(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "input_hashes": self.input_hashes,
-            "seed": self.seed,
-            "precision_bits": self.precision_bits,
-            "tool": self.tool,
-            "version": self.version,
-        }
+        obj = asdict(self)
+        del obj["timestamp"]
+        return obj
 
     def stable_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.stable_obj())).hexdigest()
 
     def to_obj(self) -> dict:
-        obj = dict(self.stable_obj())
-        obj["timestamp"] = self.timestamp
-        obj["manifest_hash"] = self.stable_hash()
-        return obj
+        return {**asdict(self), "manifest_hash": self.stable_hash()}
 
 
 # ---------------------------------------------------------------------------

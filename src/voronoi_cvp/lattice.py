@@ -138,19 +138,33 @@ class LatticePoint:
     def ambient_on(self, basis: LatticeBasis) -> Vec:
         return tuple(Fraction(x, basis.den) for x in self.image_on(basis))
 
-    def scaled_with(self, basis: LatticeBasis, *vectors: Sequence[Fraction]):
-        """((k_0, k_1, ...), d): the point is k_0 / d and vectors[i] is k_(i+1) / d, one lcm."""
-        ks, dv = linalg.scaled_vectors(basis.n, *vectors)
-        d = lcm(basis.den, dv)
+    def scaled_with(self, basis: LatticeBasis, *targets: "Target"):
+        """((k_0, k_1, ...), d): the point is k_0 / d and targets[i] is k_(i+1) / d, one lcm."""
+        scaled = [t.ints_on(basis.n) for t in targets]
+        d = lcm(basis.den, *(dt for _, dt in scaled))
         image = tuple(d // basis.den * x for x in self.image_on(basis))
-        return (image, *(tuple(d // dv * x for x in k) for k in ks)), d
+        return (image, *(tuple(d // dt * x for x in k) for k, dt in scaled)), d
 
 
 @dataclass(frozen=True)
 class Target:
-    """A rational query point in ambient coordinates."""
+    """A rational query point `coords` (the only compared field), held once as the integers
+    `ints` over one denominator `den`, the lcm of the reduced denominators of `coords`."""
 
     coords: Vec
+    ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ints, den = linalg.scaled_ints(self.coords)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
+
+    def ints_on(self, n: int) -> tuple[tuple[int, ...], int]:
+        """(ints, den), refusing a target of another dimension."""
+        if len(self.coords) != n:
+            raise ValueError(f"expected a target of length {n}, got {len(self.coords)}")
+        return self.ints, self.den
 
     @classmethod
     def of(cls, entries: Sequence) -> "Target":
@@ -167,9 +181,7 @@ class Target:
 
 def qbar(basis: LatticeBasis, target: Target | None = None) -> int:
     """Least positive integer clearing every denominator of the basis (and target)."""
-    if target is None:
-        return basis.den
-    return lcm(basis.den, *(x.denominator for x in target.coords))
+    return basis.den if target is None else lcm(basis.den, target.den)
 
 
 def coset_reps_mod2(n: int, dim_cap: int = DEFAULT_DIM_CAP) -> list[tuple[int, ...]]:

@@ -190,7 +190,7 @@ def line_follow(
     TieDetected; "lexicographic" picks the tied edge with smallest
     coefficient vector (deterministic, used by deterministic callers).
     """
-    (z_int, a_int, b_int), d = z.scaled_with(cell.basis, linalg.vec(a), linalg.vec(b))
+    (z_int, a_int, b_int), d = z.scaled_with(cell.basis, Target.of(a), Target.of(b))
     if not cell.membership_scaled([ai - zi for ai, zi in zip(a_int, z_int)], d):
         raise ContractViolation("line_follow start point is not in the start cell")
     return _follow_legs(cell, z, [(a_int, b_int, PHASE_SHIFTED)], d, tie_break=tie_break)
@@ -245,8 +245,7 @@ def iterative_slicer(
     strictly decreases the distance, so the walk terminates.  An `observer`
     callable, if given, receives each intermediate lattice point.
     """
-    (t_int,), dt = linalg.scaled_vectors(cell.n, t.coords)
-    return slicer_scaled(cell, t_int, dt, z, observer)
+    return slicer_scaled(cell, *t.ints_on(cell.n), z, observer)
 
 
 def mv_walk(
@@ -260,7 +259,7 @@ def mv_walk(
     choice.  Alphas are measured along [x, t]; x lies in its own cell, so the
     start needs no check.  Ties break lexicographically (deterministic).
     """
-    (x_int, t_int), d = x.scaled_with(cell.basis, t.coords)
+    (x_int, t_int), d = x.scaled_with(cell.basis, t)
     return _follow_legs(cell, x, [(x_int, t_int, PHASE_SHIFTED)], d, tie_break="lexicographic")
 
 
@@ -284,14 +283,17 @@ def randomized_straight_line(
     entirely.  Exceeding `max_edges` yields (TRUNCATED, partial trace);
     exact ties raise TieDetected for the caller to resample Z.
     """
-    (x_int, z_int, t_int), d = x.scaled_with(cell.basis, linalg.vec(z_sample), t.coords)
+    sample = Target.of(z_sample)
+    (x_int, z_int, t_int), d = x.scaled_with(cell.basis, sample, t)
     # Z in the cell is exactly x + Z in the cell of x: phase B's start
-    if not cell.membership_scaled(z_int, d):
+    if not cell.membership_scaled(sample.ints, sample.den):
         raise ContractViolation("perturbation sample is not in the cell")
     alpha = linalg.frac(alpha)
     if not (0 < alpha <= 1):
         raise ContractViolation("alpha must lie in (0, 1]")
-    if cell.membership_scaled([ti - xi for xi, ti in zip(x_int, t_int)], d):
+    # t - x over lcm(den, t.den), without Z's 2^precision_bits: small enough for int64
+    (x_t, t_t), dt = x.scaled_with(cell.basis, t)
+    if cell.membership_scaled([ti - xi for xi, ti in zip(x_t, t_t)], dt):
         return x, PathTrace(start=x, final=x, events=())
 
     # the leg ends x + Z, t + Z and t + alpha Z over the denominator q d

@@ -96,7 +96,7 @@ def round_to_start(pre: PreprocessedLattice, t: Target) -> LatticePoint:
     Every frame vector has cell norm 2 and every rounding residual is at
     most 1/2, so the result is within cell-norm n of the target.
     """
-    (t_int,), dt = linalg.scaled_vectors(pre.basis.n, t.coords)
+    t_int, dt = t.ints_on(pre.basis.n)
     d = pre.frame_den * dt
     coeffs = [0] * pre.basis.n
     for row, v in zip(pre.frame_inverse_int, pre.frame):
@@ -155,7 +155,7 @@ class SolveResult:
 
 def certify(pre: PreprocessedLattice, t: Target, y: LatticePoint) -> bool:
     """Exact test that y is a closest lattice vector: t - y lies in the cell."""
-    (y_int, t_int), d = y.scaled_with(pre.basis, t.coords)
+    (y_int, t_int), d = y.scaled_with(pre.basis, t)
     return pre.cell.membership_scaled([ti - yi for ti, yi in zip(t_int, y_int)], d)
 
 

@@ -16,6 +16,7 @@ import pytest
 from voronoi_cvp import (
     LatticeBasis,
     LatticePoint,
+    SamplerConfig,
     Target,
     TieDetected,
     VoronoiCellData,
@@ -25,6 +26,7 @@ from voronoi_cvp import (
     membership,
     mv_walk,
     randomized_straight_line,
+    uniform_sample,
     voronoi_norm,
 )
 from voronoi_cvp.navigation import slicer_scaled
@@ -118,6 +120,20 @@ def test_walks_match_the_python_path(cells, monkeypatch):
             for walk in walks:
                 runs, exact = three_ways(monkeypatch, walk)
                 assert runs[0] == runs[1] == runs[2] and exact and all(exact)
+
+
+def test_rsl_tests_t_minus_x_as_an_int64_product(high_dim_cells, monkeypatch):
+    # Z's membership carries the sample's 2^precision_bits and takes Python integers;
+    # the test of t - x after it is over lcm(den, t.den) alone, one int64 product
+    cell = high_dim_cells[7]
+    x, den2 = cell.vectors[0], 2 * cell.basis.den
+    z_sample = uniform_sample(cell, SamplerConfig(seed=3))
+    for k in (0, K - 1, 3 * K):  # t in the cell of x, just inside, three cells on
+        t = Target.of([a + F(k * c, den2 * K) for a, c in zip(x.ambient, cell._vr_int[1])])
+        walk = lambda: randomized_straight_line(cell, x, t, z_sample, F(1, 2))
+        runs, exact = three_ways(monkeypatch, walk)
+        assert runs[0] == runs[1] == runs[2] and exact[:2] == [False, True]
+        assert (runs[0][1].events == ()) == (k < K)
 
 
 def test_ties_match_the_python_path(z2_cell, monkeypatch):
@@ -214,6 +230,6 @@ def test_point_scaled_with_vectors_matches_fractions(rand_lattices):
     for basis, cell in rand_lattices:
         for v in cell.vectors[:4]:
             t = [F(int(rng.integers(-99, 100)), int(rng.integers(1, 40))) for _ in range(basis.n)]
-            (k0, k1), d = v.scaled_with(basis, t)
+            (k0, k1), d = v.scaled_with(basis, Target.of(t))
             assert d % basis.den == 0
             assert [F(c, d) for c in k0] == list(v.ambient) and [F(c, d) for c in k1] == t

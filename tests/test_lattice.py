@@ -1,4 +1,6 @@
+import pickle
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given
@@ -73,6 +75,20 @@ def test_qbar_examples():
     assert qbar(z2, Target.of([3, -7])) == 1
     b = LatticeBasis.from_rows([[1, Fraction(1, 2)], [0, Fraction(1, 2)]])
     assert qbar(b, Target.of([Fraction(1, 4), 0])) == 4
+
+
+@given(st.lists(rationals, max_size=6))
+def test_target_stores_its_integers_once(xs):
+    t = Target.of(xs)
+    assert [Fraction(k, t.den) for k in t.ints] == list(t.coords)
+    assert t.den == lcm(*(x.denominator for x in t.coords))
+    # `coords` alone is compared, hashed, shown and pickled, as before the stored form
+    assert t == Target(coords=tuple(Fraction(x) for x in xs)) and hash(t) == hash((t.coords,))
+    assert repr(t) == f"Target(coords={t.coords!r})"
+    u = pickle.loads(pickle.dumps(t))
+    assert u == t and (u.ints, u.den) == (t.ints, t.den)
+    b = LatticeBasis.from_rows([[Fraction(1, 6), 0], [0, 1]])
+    assert qbar(b, t) == lcm(b.den, *(x.denominator for x in t.coords))
 
 
 def _prime_factors(q: int) -> set[int]:

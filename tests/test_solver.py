@@ -11,16 +11,20 @@ from voronoi_cvp import (
     TieDetected,
     certify,
     cvp_bruteforce,
+    iterative_slicer,
+    line_follow,
     make_query_params,
     membership,
+    mv_walk,
     preprocess,
     query,
+    randomized_straight_line,
     round_to_start,
     voronoi_norm,
 )
-from voronoi_cvp import solver
+from voronoi_cvp import linalg, solver
 from voronoi_cvp.cli import main
-from voronoi_cvp.experiments import run_crossing_trials
+from voronoi_cvp.experiments import STRATEGIES, run_crossing_trials, solve_with_strategy
 from voronoi_cvp.lattice import qbar, random_rational_target
 from voronoi_cvp.linalg import dot, norm_sq, sub
 from voronoi_cvp.sampling import stream_for
@@ -137,15 +141,39 @@ def test_round_to_start_matches_fraction_rounding(rand_lattices):
 def test_wrong_dimension_target_is_rejected(z2_pre):
     # the query path scales a target together with lattice points, so a
     # target of the wrong length must raise, not be read as a shorter one
+    cell, origin = z2_pre.cell, LatticePoint.origin(2)
     for t in (Target.of([F(1, 3)]), Target.of([F(1, 3), 0, 1])):
         for call in (
             lambda: round_to_start(z2_pre, t),
-            lambda: certify(z2_pre, t, LatticePoint.origin(2)),
+            lambda: certify(z2_pre, t, origin),
             lambda: query(z2_pre, t, SamplerConfig(seed=1)),
-            lambda: membership(z2_pre.cell, t.coords),
+            lambda: membership(cell, t.coords),
+            lambda: iterative_slicer(cell, t, origin),
+            lambda: mv_walk(cell, t, origin),
+            lambda: randomized_straight_line(cell, origin, t, (0, 0), F(1, 2)),
+            lambda: line_follow(cell, (0, 0), t.coords, origin),
         ):
             with pytest.raises(ValueError):
                 call()
+
+
+def test_an_op_does_not_convert_a_prebuilt_target(rand_lattices, monkeypatch):
+    # a Target holds its integers from construction, so no layer of an op scales it
+    # again; only `line_follow`'s segment ends and each attempt's cell sample are scaled
+    # (`scaled_ints` is the one scaler: `Target` and `linalg.scaled_vectors` both call it)
+    calls = []
+    scaled_ints = linalg.scaled_ints
+    monkeypatch.setattr(linalg, "scaled_ints", lambda u: calls.append(u) or scaled_ints(u))
+    rng = make_rng(3)
+    for basis, cell in rand_lattices:
+        pre = preprocess(basis, cell)
+        for _ in range(3):
+            t = random_rational_target(basis, rng)
+            for strategy in STRATEGIES:
+                calls.clear()
+                res = solve_with_strategy(pre, t, strategy, SamplerConfig(seed=3))
+                expected = {"mv": 0, "slicer": 0, "deterministic-line": 2}  # rsl: one per attempt
+                assert res.certified and len(calls) == expected.get(strategy, res.restarts + 1)
 
 
 def test_query_params_formula(skew2_basis):
