@@ -144,7 +144,7 @@ def library_outputs():
             records.append((f"{tag}:{j}:layers", json.dumps({
                 "start": [list(x.coeffs), [str(c) for c in x.ambient]],
                 "certify_start": certify(pre, t, x),
-                "samples": [[str(c) for c in z] for z in draws],
+                "samples": [[str(c) for c in z.coords] for z in draws],
             })))
             # walks from the origin, whole and under small edge budgets
             origin = LatticePoint.origin(basis.n)

@@ -281,8 +281,10 @@ def random_rational_basis(
 
     Rejects bases whose orthogonality defect prod ||b_j|| / |det| exceeds
     `defect_cap`: badly skewed bases make exact enumeration boxes explode
-    without adding test value.
+    without adding test value.  A dimension below 1 raises `InputError`.
     """
+    if n < 1:
+        raise InputError(f"a basis needs dimension at least 1, got {n}")
     for _ in range(max_attempts):
         rows = [
             [

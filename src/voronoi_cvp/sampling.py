@@ -16,7 +16,10 @@ no polynomial bound in theory.  The tests keep an exact rejection sampler
 as the small-n reference to compare against.
 
 Geometry stays exact: emitted points are dyadic-rational combinations of
-the basis, and no float enters the sampler.
+the basis, and no float enters the sampler.  A sample is a `CellSample`:
+integers over one denominator and their products with every relevant
+vector, from the slicer's final scan (the one that proves the sample lies
+in the cell).  The randomized walk reads Z from them and never scans it.
 
 Randomness comes from numpy's PCG64; independent streams are derived from
 one 64-bit seed via SeedSequence spawn keys, so experiments are reproducible
@@ -25,16 +28,17 @@ and trials can fan out without sharing generator state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
+from . import linalg, navigation  # navigation imports CellSample: look the slicer up on call
 from .errors import ContractViolation
 from .lattice import LatticePoint
 from .linalg import Vec
-from .navigation import slicer_scaled
 from .voronoi import VoronoiCellData
 
 
@@ -57,11 +61,21 @@ class SamplerConfig:
 
 
 class SampleStream:
-    """A named PCG64 stream; children are addressed by integer spawn paths."""
+    """A named PCG64 stream; children are addressed by integer spawn paths.
+
+    The bit generator is built on the first draw; `gen` wraps that same one.
+    """
 
     def __init__(self, seed_seq: np.random.SeedSequence):
         self.seed_seq = seed_seq
-        self.gen = np.random.Generator(np.random.PCG64(seed_seq))
+
+    @cached_property
+    def _bits(self) -> np.random.PCG64:
+        return np.random.PCG64(self.seed_seq)
+
+    @cached_property
+    def gen(self) -> np.random.Generator:
+        return np.random.Generator(self._bits)
 
     def child(self, *path: int) -> "SampleStream":
         return SampleStream(
@@ -73,7 +87,7 @@ class SampleStream:
     def getrandbits(self, k: int) -> int:
         # raw PCG64 words: the same words as gen.integers(0, 2**64, dtype=np.uint64)
         val = 0
-        for w in self.gen.bit_generator.random_raw((k + 63) // 64).tolist():
+        for w in self._bits.random_raw((k + 63) // 64).tolist():
             val = (val << 64) | w
         return val & ((1 << k) - 1)
 
@@ -83,13 +97,48 @@ def stream_for(cfg: SamplerConfig, *path: int) -> SampleStream:
     return SampleStream(np.random.SeedSequence(cfg.seed, spawn_key=tuple(path)))
 
 
+@dataclass(frozen=True)
+class CellSample:
+    """A point Z of `cell` as integers `ints` over one denominator `den` (the compared fields).
+
+    `dots[i]` = <V_i, ints> for the image V_i = den_B v_i of each relevant
+    vector, in cell order (den_B the basis's denominator).  Z lies in the
+    cell exactly when 2 den_B dots[i] <= den <V_i, V_i> on every row; build
+    a sample with `uniform_sample` or `CellSample.of`, which establish that.
+    """
+
+    ints: tuple[int, ...]
+    den: int
+    dots: np.ndarray = field(repr=False, compare=False)
+    cell: VoronoiCellData = field(repr=False, compare=False)
+
+    @classmethod
+    def of(cls, cell: VoronoiCellData, coords: Sequence) -> "CellSample":
+        """The sample at `coords`, converted once; `ContractViolation` unless it lies in the cell."""
+        if len(coords) != cell.n:
+            raise ValueError(f"expected a sample of length {cell.n}, got {len(coords)}")
+        ints, den = linalg.scaled_ints(linalg.vec(coords))
+        dots = cell.scan(ints, 1, 0)
+        if dots is None:  # Python integers
+            dots = np.array([linalg.dot_int(v, ints) for v in cell._vr_int], dtype=object)
+        den2 = 2 * cell.basis.den
+        if any(den2 * p > den * nv for p, nv in zip(dots.tolist(), cell._norm_int)):
+            raise ContractViolation("perturbation sample is not in the cell")
+        return cls(ints, den, dots, cell)
+
+    @property
+    def coords(self) -> Vec:
+        return tuple(Fraction(x, self.den) for x in self.ints)
+
+
 def uniform_sample(
     cell: VoronoiCellData, cfg: SamplerConfig, stream: Optional[SampleStream] = None
-) -> Vec:
+) -> CellSample:
     """Uniform cell sample (up to the dyadic grid) by torus reduction.
 
     Draws x = B a with dyadic coefficients a_j in [-1/2, 1/2) and returns
-    x - y, where y is the iterative slicer's closest vector to x.
+    x - y, where y is the iterative slicer's closest vector to x, with the
+    products of the slicer's final scan.
     """
     stream = stream or stream_for(cfg)
     bits = cfg.precision_bits
@@ -97,5 +146,6 @@ def uniform_sample(
     k = [stream.getrandbits(bits) - half for _ in range(cell.n)]
     dx = cell.basis.den << bits
     x_int = LatticePoint.from_coeffs(cell.basis, k).image  # x = x_int / dx
-    y, _ = slicer_scaled(cell, x_int, dx, LatticePoint.origin(cell.n))
-    return tuple(Fraction(xi - (yi << bits), dx) for xi, yi in zip(x_int, y.image))
+    # lcm(den, dx) = dx: the slicer's residual x - y is over dx too
+    y, _, dots = navigation.slicer_products(cell, x_int, dx, LatticePoint.origin(cell.n))
+    return CellSample(tuple(xi - (yi << bits) for xi, yi in zip(x_int, y.image)), dx, dots, cell)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from voronoi_cvp import (
+    ContractViolation,
     LatticeBasis,
     LatticePoint,
     SamplerConfig,
@@ -29,7 +30,8 @@ from voronoi_cvp import (
     uniform_sample,
     voronoi_norm,
 )
-from voronoi_cvp.navigation import slicer_scaled
+from voronoi_cvp.navigation import TRUNCATED, slicer_scaled
+from voronoi_cvp.sampling import CellSample, stream_for
 
 from conftest import A2_PLUS_LINE, D4, make_rng, reference_scan, scaled_basis
 
@@ -123,8 +125,9 @@ def test_walks_match_the_python_path(cells, monkeypatch):
 
 
 def test_rsl_tests_t_minus_x_as_an_int64_product(high_dim_cells, monkeypatch):
-    # Z's membership carries the sample's 2^precision_bits and takes Python integers;
-    # the test of t - x after it is over lcm(den, t.den) alone, one int64 product
+    # the sampler's own scan proved Z in the cell, so the walk's first scan is the test
+    # of t - x, over lcm(den, t.den) alone: one int64 product, and the only scan when
+    # t lies in the start cell
     cell = high_dim_cells[7]
     x, den2 = cell.vectors[0], 2 * cell.basis.den
     z_sample = uniform_sample(cell, SamplerConfig(seed=3))
@@ -132,8 +135,116 @@ def test_rsl_tests_t_minus_x_as_an_int64_product(high_dim_cells, monkeypatch):
         t = Target.of([a + F(k * c, den2 * K) for a, c in zip(x.ambient, cell._vr_int[1])])
         walk = lambda: randomized_straight_line(cell, x, t, z_sample, F(1, 2))
         runs, exact = three_ways(monkeypatch, walk)
-        assert runs[0] == runs[1] == runs[2] and exact[:2] == [False, True]
-        assert (runs[0][1].events == ()) == (k < K)
+        assert runs[0] == runs[1] == runs[2] and exact[0] is True
+        assert (runs[0][1].events == ()) == (k < K) == (len(exact) == 1)
+
+
+def end_in_cell(cell, walk, a, b, legs=None):
+    """Whether a walk's outcome is consistent with the exit rule: a tie, or a
+    returned point whose cell holds b, or a truncated trace whose last exit point
+    lies in the cell it stopped in.  `legs` maps a phase to its segment (a, b)."""
+    if walk[0] == "tie":
+        return True
+    y, trace = walk
+    if y is not TRUNCATED:
+        return membership(cell, [bi - yi for bi, yi in zip(b, y.ambient)])
+    if not trace.events:
+        return True
+    e = trace.events[-1]
+    a, b = legs[e.phase] if legs else (a, b)
+    point = [ai + e.alpha * (bi - ai) for ai, bi in zip(a, b)]
+    return membership(cell, [pi - wi for pi, wi in zip(point, trace.final.ambient)])
+
+
+def test_every_walk_ends_in_the_cell_it_returns(cells, monkeypatch):
+    # the leg loop makes no end scan; the walks of the fixtures end in the cells they
+    # return on the int64 products, the reference loop and the Python paths alike,
+    # in both tie modes and under edge budgets
+    cfg = SamplerConfig(seed=8)
+    seen = {}
+    for ci, cell in enumerate(cells):
+        x = cell.vectors[0]
+        shift = [3 * F(c, cell.basis.den) for c in cell._vr_int[2]]
+        z = uniform_sample(cell, cfg, stream_for(cfg, ci))
+        for x_int, dx, _ in facet_points(cell, 3):
+            t = Target.of([F(c, dx) + s for c, s in zip(x_int, shift)])
+            xa = x.ambient
+            walks = [
+                (lambda: mv_walk(cell, t, x), xa, t.coords, None),
+                (lambda: line_follow(cell, xa, t.coords, x), xa, t.coords, None),
+                (lambda: line_follow(cell, xa, t.coords, x, tie_break="lexicographic"),
+                 xa, t.coords, None),
+            ]
+            for alpha in (F(1, 3), F(1)):
+                za = z.coords
+                a1 = [xi + zi for xi, zi in zip(xa, za)]
+                b1 = [ti + zi for ti, zi in zip(t.coords, za)]
+                b2 = [ti + alpha * zi for ti, zi in zip(t.coords, za)]
+                legs = {"B": (a1, b1), "C": (b1, b2)}
+                for budget in (None, 1, 2):
+                    walks.append((
+                        lambda alpha=alpha, budget=budget: randomized_straight_line(
+                            cell, x, t, z, alpha, max_edges=budget
+                        ),
+                        a1, b2, legs,
+                    ))
+            for walk, a, b, legs in walks:
+                runs, _ = three_ways(monkeypatch, walk)
+                assert runs[0] == runs[1] == runs[2]
+                assert all(end_in_cell(cell, run, a, b, legs) for run in runs)
+                kind = runs[0][0] if runs[0][0] in ("tie", TRUNCATED) else "end"
+                seen[kind] = seen.get(kind, 0) + 1
+    # segments through the vertex (1/2, 1/2) of Z^2 and the vertex e_1 of D4's cell
+    for cell, b in ((cells[-3], (F(7, 4), F(7, 4))), (cells[-1], (F(5, 2), 0, 0, 0))):
+        origin, a = LatticePoint.origin(cell.n), (0,) * cell.n
+        for tie_break in ("error", "lexicographic"):
+            runs, _ = three_ways(monkeypatch, lambda: line_follow(cell, a, b, origin, tie_break))
+            assert runs[0] == runs[1] == runs[2]
+            assert all(end_in_cell(cell, run, a, b) for run in runs)
+            kind = runs[0][0] if runs[0][0] in ("tie", TRUNCATED) else "end"
+            seen[kind] = seen.get(kind, 0) + 1
+    assert sum(seen.values()) == len(cells) * 9 * 9 + 4 and len(seen) == 3
+
+
+def test_an_rsl_attempt_scans_only_t_minus_x_in_full(rand_lattices, monkeypatch):
+    # the walk takes its candidate facets from the t - x test and from the sample's
+    # products: the only scan of every relevant vector is that test, over lcm(den, t.den);
+    # no leg direction, no second test of Z and no end point is scanned
+    scan = VoronoiCellData.scan
+    full = []
+
+    def spy(self, x, c1, c2, rows=None):
+        if rows is None:
+            full.append((list(x), c1, c2))
+        return scan(self, x, c1, c2, rows)
+
+    monkeypatch.setattr(VoronoiCellData, "scan", spy)
+    cfg = SamplerConfig(seed=4)
+    crossed = set()
+    for li, (basis, cell) in enumerate(rand_lattices):
+        x = cell.vectors[1]
+        rng = make_rng(li)
+        for i in range(6):
+            t = Target.of([F(int(rng.integers(-40, 41)), 7) for _ in range(basis.n)])
+            z = uniform_sample(cell, cfg, stream_for(cfg, li, i))
+            full.clear()
+            y, trace = randomized_straight_line(cell, x, t, z, F(1, 4))
+            (x_t, t_t), d0 = x.scaled_with(basis, t)
+            assert full == [([b - a for a, b in zip(x_t, t_t)], 2 * basis.den, -d0)]
+            crossed.update(e.phase for e in trace.events)
+    assert crossed == {"B", "C"}
+
+
+def test_a_walk_refuses_a_sample_of_another_cell(z2_cell, rand_lattices):
+    other = compute_relevant_vectors(LatticeBasis.identity(2))
+    x, t = LatticePoint.origin(2), Target.of([F(5, 2), F(1, 3)])
+    z = CellSample.of(other, (F(1, 4), F(-1, 8)))
+    assert randomized_straight_line(z2_cell, x, t, z, F(1, 4)) == randomized_straight_line(
+        z2_cell, x, t, z.coords, F(1, 4)
+    )  # an equal cell
+    basis, cell = rand_lattices[0]
+    with pytest.raises(ContractViolation, match="another cell"):
+        randomized_straight_line(cell, LatticePoint.origin(2), t, z, F(1, 4))
 
 
 def test_ties_match_the_python_path(z2_cell, monkeypatch):
@@ -185,12 +296,13 @@ def test_scans_switch_to_python_integers_at_the_bound(high_dim_cells, monkeypatc
         z0 = LatticePoint.origin(cell.n)
         runs, exact = three_ways(monkeypatch, lambda: slicer_path(cell, x_int, dx, z0))
         assert runs[0] == runs[1] == runs[2] and exact[0] == (k == top)
-    # past the facet from the origin: the crossing is found on int64, but the
-    # next exit times, from the cell of v, exceed the bound and take Python integers
-    t = Target.of([F((top + 1) * c, den2 * top) for c in v])
+    # past the facet 3v/2 from the origin: the crossings into the cells of v and 2v are
+    # found on int64, but the next exit times, from the cell of 2v, exceed the bound
+    # and take Python integers
+    t = Target.of([F(3 * (top + 1) * c, den2 * top) for c in v])
     runs, exact = three_ways(monkeypatch, lambda: mv_walk(cell, t, LatticePoint.origin(cell.n)))
     assert runs[0] == runs[1] == runs[2]
-    assert [e.edge.coeffs for e in runs[0][1].events] == [cell.vectors[0].coeffs]
+    assert [e.edge.coeffs for e in runs[0][1].events] == [cell.vectors[0].coeffs] * 2
     assert True in exact and False in exact
 
 

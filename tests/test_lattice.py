@@ -274,3 +274,9 @@ def test_random_basis_respects_bounds_and_seeding():
         for x in col:
             assert abs(x.numerator) <= 4 * x.denominator or abs(x) <= 4
             assert x.denominator <= 2
+
+
+def test_random_basis_refuses_an_empty_dimension():
+    for n in (0, -1):
+        with pytest.raises(InputError, match="dimension at least 1"):
+            random_rational_basis(n, make_rng(1))

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import numpy as np
+
 import pytest
 from scipy import stats as scipy_stats
 
@@ -8,16 +10,19 @@ from voronoi_cvp import (
     ContractViolation,
     SamplerConfig,
     SizeCapError,
+    VoronoiCellData,
+    compute_relevant_vectors,
     membership,
     uniform_sample,
     voronoi_norm,
 )
-from voronoi_cvp.sampling import stream_for
-from voronoi_cvp.linalg import vec
+from voronoi_cvp.sampling import CellSample, stream_for
+from voronoi_cvp.linalg import dot_int, vec
 
 from conftest import (
     gamma_factor_for_dimension,
     gamma_sample,
+    scaled_basis,
     theta_for_dimension,
     uniform_voronoi_rejection,
 )
@@ -87,7 +92,7 @@ def test_torus_matches_rejection(skew2_cell, rand_lattices):
     cells = [skew2_cell] + [cell for _, cell in rand_lattices]
     for ci, cell in enumerate(cells):
         torus_stream = stream_for(cfg, ci, 0)
-        torus = [uniform_sample(cell, cfg, torus_stream) for _ in range(400)]
+        torus = [uniform_sample(cell, cfg, torus_stream).coords for _ in range(400)]
         assert all(membership(cell, p) for p in torus)
         rej_stream = stream_for(cfg, ci, 1)
         rej = [uniform_voronoi_rejection(cell, cfg, rej_stream) for _ in range(400)]
@@ -106,7 +111,7 @@ def test_torus_mean_cell_norm_high_dimension(high_dim_cells):
     cfg = SamplerConfig(seed=22)
     for n, cell in high_dim_cells.items():
         stream = stream_for(cfg, n)
-        samples = [uniform_sample(cell, cfg, stream) for _ in range(300)]
+        samples = [uniform_sample(cell, cfg, stream).coords for _ in range(300)]
         assert all(membership(cell, p) for p in samples)
         m, se = mean_se([float(voronoi_norm(cell, p)) for p in samples])
         assert abs(m - n / (n + 1)) <= 4 * se, (n, m, se)
@@ -188,3 +193,67 @@ def test_uniform_to_laplace_coupling_inclusion(z2_cell):
             assert outer[0] <= inner[0] and inner[1] <= outer[1]
         checked += 1
     assert checked >= 50  # the radial condition holds at least half the time
+
+
+def test_stream_builds_its_generator_on_first_draw():
+    # the words and draws of a lazily built stream equal those of a generator built with
+    # it, on several spawn paths; `gen` and `getrandbits` continue one stream
+    cfg = SamplerConfig(seed=17)
+    for path in ((), (0,), (3, 1), (7, 2, 5)):
+        stream = stream_for(cfg).child(*path)
+        assert not {"_bits", "gen"} & set(vars(stream))  # spawning draws nothing
+        ref = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=path))
+        )
+        for k in (1, 64, 65, 128, 200):
+            word = 0
+            for w in ref.bit_generator.random_raw((k + 63) // 64).tolist():
+                word = (word << 64) | w
+            assert stream.getrandbits(k) == word & ((1 << k) - 1)
+            assert stream.gen.standard_exponential(2).tolist() == ref.standard_exponential(2).tolist()
+        assert stream.gen is stream.gen
+        assert stream_for(cfg, *path).getrandbits(200) == stream_for(cfg).child(*path).getrandbits(200)
+
+
+def test_sample_products_match_a_dot_loop(z2_cell, rand_lattices, monkeypatch):
+    # the products come from the slicer's final scan: int64 for a 32-bit grid on small
+    # lattices, Python integers for 128 bits; each equals a dot_int loop on every row
+    scan = VoronoiCellData.scan
+    last = []
+    monkeypatch.setattr(
+        VoronoiCellData, "scan", lambda *a: last.append(scan(*a) is not None) or scan(*a)
+    )
+    paths = set()
+    for ci, cell in enumerate([z2_cell] + [c for _, c in rand_lattices]):
+        for bits in (32, 128):
+            cfg = SamplerConfig(seed=31, precision_bits=bits)
+            for i in range(5):
+                last.clear()
+                z = uniform_sample(cell, cfg, stream_for(cfg, ci, i))
+                paths.add(last[-1])
+                assert z.cell is cell and z.den == cell.basis.den << bits
+                assert z.dots.tolist() == [dot_int(v, z.ints) for v in cell._vr_int]
+                assert membership(cell, z.coords)
+                rebuilt = CellSample.of(cell, z.coords)
+                assert rebuilt.coords == z.coords
+                assert rebuilt.dots.tolist() == [dot_int(v, rebuilt.ints) for v in cell._vr_int]
+    assert paths == {True, False}
+
+
+def test_cell_sample_of_refuses_a_point_outside_the_cell(z2_cell, rand_lattices):
+    # a vertex of the cell; the relevant vectors of Z^2 are (0, 1), (0, -1), (1, 0), (-1, 0)
+    assert CellSample.of(z2_cell, (F(1, 2), F(-1, 2))).dots.tolist() == [-1, 1, 1, -1]
+    for coords in ((F(1, 2) + F(1, 2**140), 0), (F(2), F(0)), (F(3, 4), F(3, 4))):
+        with pytest.raises(ContractViolation, match="not in the cell"):
+            CellSample.of(z2_cell, coords)
+    with pytest.raises(ValueError):
+        CellSample.of(z2_cell, (0, 0, 0))
+    # past int64: the products are Python integers
+    basis, small = rand_lattices[1]
+    big = compute_relevant_vectors(scaled_basis(basis, 2**64))
+    v = big.vectors[0].ambient
+    inside = CellSample.of(big, [c / 2 for c in v])
+    assert inside.dots.dtype == object
+    assert inside.dots.tolist() == [dot_int(w, inside.ints) for w in big._vr_int]
+    with pytest.raises(ContractViolation):
+        CellSample.of(big, [c / 2 + F(1, 2**200) * c for c in v])

@@ -159,8 +159,9 @@ def test_wrong_dimension_target_is_rejected(z2_pre):
 
 def test_an_op_does_not_convert_a_prebuilt_target(rand_lattices, monkeypatch):
     # a Target holds its integers from construction, so no layer of an op scales it
-    # again; only `line_follow`'s segment ends and each attempt's cell sample are scaled
-    # (`scaled_ints` is the one scaler: `Target` and `linalg.scaled_vectors` both call it)
+    # again; only `line_follow`'s segment ends are scaled, and a cell sample is drawn
+    # as integers (`scaled_ints` is the one scaler: `Target`, `CellSample.of` and
+    # `linalg.scaled_vectors` all call it)
     calls = []
     scaled_ints = linalg.scaled_ints
     monkeypatch.setattr(linalg, "scaled_ints", lambda u: calls.append(u) or scaled_ints(u))
@@ -172,8 +173,8 @@ def test_an_op_does_not_convert_a_prebuilt_target(rand_lattices, monkeypatch):
             for strategy in STRATEGIES:
                 calls.clear()
                 res = solve_with_strategy(pre, t, strategy, SamplerConfig(seed=3))
-                expected = {"mv": 0, "slicer": 0, "deterministic-line": 2}  # rsl: one per attempt
-                assert res.certified and len(calls) == expected.get(strategy, res.restarts + 1)
+                expected = {"mv": 0, "slicer": 0, "deterministic-line": 2, "rsl": 0}
+                assert res.certified and len(calls) == expected[strategy]
 
 
 def test_query_params_formula(skew2_basis):
