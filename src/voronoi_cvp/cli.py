@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import experiments, lattice, linalg, sampling, solver, voronoi
+from . import experiments, lattice, sampling, solver, voronoi
 from .errors import (
     ContractViolation,
     InputError,
@@ -358,9 +358,9 @@ def cmd_preprocess(args) -> int:
     n = basis.n
     stats = {
         "n": n,
-        "vr_count": len(cell.vectors),
+        "vr_count": len(cell.coeffs),
         "facet_bound": 2 * (2**n - 1),
-        "bound_ok": len(cell.vectors) <= 2 * (2**n - 1),
+        "bound_ok": len(cell.coeffs) <= 2 * (2**n - 1),
         "lambda1_sq": str(cell.lambda1_sq),
         "mu_upper_sq": str(pre.frame_sum_sq / 4),
         "basis_hash": lattice.basis_hash(basis),
@@ -381,7 +381,8 @@ def cmd_solve(args) -> int:
     pre = solver.preprocess(basis, cell=cell)
     cfg = _sampler_config(args)
     result = experiments.solve_with_strategy(pre, t, args.strategy, cfg)
-    dist_sq = linalg.norm_sq(linalg.sub(t.coords, result.point.ambient))
+    (y_int, t_int), d = result.point.scaled_with(basis, t)
+    dist_sq = Fraction(sum((ti - yi) ** 2 for yi, ti in zip(y_int, t_int)), d * d)
     manifest = _manifest(
         args,
         "solve",

@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import prod
 from typing import Iterable, Optional, Sequence
@@ -101,6 +102,11 @@ class LatticeBasis:
     @property
     def encoding_length(self) -> int:
         return encoding_length(self.columns)
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of the basis file object, the key of caches and manifests; computed once."""
+        return hashlib.sha256(canonical_json(basis_to_obj(self))).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -240,7 +246,7 @@ def canonical_json(obj) -> bytes:
 
 
 def basis_hash(basis: LatticeBasis) -> str:
-    return hashlib.sha256(canonical_json(basis_to_obj(basis))).hexdigest()
+    return basis.digest
 
 
 def write_basis(basis: LatticeBasis, path) -> None:

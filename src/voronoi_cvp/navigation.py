@@ -154,7 +154,8 @@ def _follow_legs(
     randomness; "lexicographic" picks the tied edge with smallest
     coefficient vector (exit times are then only non-decreasing).
     """
-    den, vr, nv = cell.basis.den, cell._vr_int, cell._norm_int
+    den, vr, nv, coeff_rows = cell.basis.den, cell._vr_int, cell._norm_int, cell.coeffs
+    points, vector = cell._points, cell.vector
     w_int = list(z.image_on(cell.basis))
     coeffs = list(z.coeffs)
     events: list[CrossingEvent] = []
@@ -183,18 +184,18 @@ def _follow_legs(
                     break  # alpha >= 1: b is inside the current cell
                 alpha = Fraction(best_p, scale * best_q)
             if len(best) > 1:
-                tied = [cell.vectors[i] for i in best]
                 if tie_break == "error":
-                    raise TieDetected(tied, alpha, len(events) - leg_start)
-                best.sort(key=lambda i: cell.vectors[i].coeffs)
+                    raise TieDetected([vector(i) for i in best], alpha, len(events) - leg_start)
+                best.sort(key=coeff_rows.__getitem__)
             if max_edges is not None and len(events) >= max_edges:
                 w = LatticePoint(tuple(coeffs), tuple(w_int), cell.basis)
                 return TRUNCATED, PathTrace(start=z, final=w, events=tuple(events))
-            v_int, edge = vr[best[0]], cell.vectors[best[0]]
+            e = best[0]
+            v_int, v_a = vr[e], coeff_rows[e]
             for i in range(len(w_int)):
                 w_int[i] += v_int[i]
-                coeffs[i] += edge.coeffs[i]
-            events.append(CrossingEvent(alpha=alpha, edge=edge, phase=phase))
+                coeffs[i] += v_a[i]
+            events.append(CrossingEvent(alpha=alpha, edge=points[e] or vector(e), phase=phase))
             if len(events) > HARD_STEP_LIMIT:
                 raise ContractViolation("line following exceeded the hard step limit")
     w = LatticePoint(tuple(coeffs), tuple(w_int), cell.basis)
@@ -254,12 +255,11 @@ def slicer_products(
                     best_idx, best_delta = idx, d
         if best_idx is None:
             break
-        v_int = cell._vr_int[best_idx]
-        edge = cell.vectors[best_idx]
+        v_int, v_a = cell._vr_int[best_idx], cell.coeffs[best_idx]
         for i in range(len(r_int)):
             r_int[i] -= v_int[i] * fz
             w_int[i] += v_int[i]
-            coeffs[i] += edge.coeffs[i]
+            coeffs[i] += v_a[i]
         steps += 1
         if observer is not None:
             observer(LatticePoint(tuple(coeffs), tuple(w_int), cell.basis))
@@ -273,14 +273,6 @@ def slicer_products(
     return LatticePoint(tuple(coeffs), tuple(w_int), cell.basis), steps, dots
 
 
-def slicer_scaled(
-    cell: VoronoiCellData, t_int: Sequence[int], dt: int, z: LatticePoint, observer=None
-) -> tuple[LatticePoint, int]:
-    """`iterative_slicer` on the target t_int / dt."""
-    y, steps, _ = slicer_products(cell, t_int, dt, z, observer)
-    return y, steps
-
-
 def iterative_slicer(
     cell: VoronoiCellData, t: Target, z: LatticePoint, observer=None
 ) -> tuple[LatticePoint, int]:
@@ -292,7 +284,8 @@ def iterative_slicer(
     strictly decreases the distance, so the walk terminates.  An `observer`
     callable, if given, receives each intermediate lattice point.
     """
-    return slicer_scaled(cell, *t.ints_on(cell.n), z, observer)
+    y, steps, _ = slicer_products(cell, *t.ints_on(cell.n), z, observer)
+    return y, steps
 
 
 def mv_walk(

@@ -159,13 +159,12 @@ def graph_distance_bfs(
     start = tuple(b - a for a, b in zip(x.coeffs, y.coeffs))
     if not any(start):
         return 0
-    steps = [v.coeffs for v in cell.vectors]
     visited = {start}
     frontier = [start]
     for dist in range(1, cap + 1):
         nxt = []
         for node in frontier:
-            for s in steps:
+            for s in cell.coeffs:
                 child = tuple(a - b for a, b in zip(node, s))
                 if not any(child):
                     return dist

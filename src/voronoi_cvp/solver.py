@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import neg
 from typing import Iterator, Optional
 
 from . import linalg
@@ -54,21 +55,23 @@ def preprocess(
     if cell is None:
         cell = compute_relevant_vectors(basis)
     n = basis.n
-    # B is nonsingular, so independence of the integer coefficient vectors
-    # is independence of the ambient vectors: reduce each candidate against
+    # B is nonsingular, so independence of the integer coefficient rows is
+    # independence of the ambient vectors: reduce each candidate row against
     # a fraction-free echelon of the frame so far (pivot column, row), whose
     # rows are divided by their gcd to keep the integers small.
-    frame: list[LatticePoint] = []
+    frame: list[int] = []
     echelon: list[tuple[int, list[int]]] = []
-    for v in cell.vectors:
-        r = list(v.coeffs)
+    rows = cell.coeffs
+    for i, r in enumerate(rows):
+        if i % 2 and r == tuple(map(neg, rows[i - 1])):
+            continue  # the negation of the row before it (the cell order pairs them)
         for col, e in echelon:
             if r[col]:
                 r = [e[col] * a - r[col] * b for a, b in zip(r, e)]
         pivot = next((c for c, a in enumerate(r) if a), None)
         if pivot is None:
             continue
-        frame.append(v)
+        frame.append(i)
         g = gcd(*r)
         echelon.append((pivot, [a // g for a in r]))
         if len(frame) == n:
@@ -77,12 +80,12 @@ def preprocess(
         raise ContractViolation("relevant vectors do not span the space")
     # F = F_int / den with the frame vectors as columns; F_int K = d I gives
     # F^-1 = den K / d
-    cols = [v.image for v in frame]
+    cols = [cell._vr_int[i] for i in frame]
     inv, frame_den = linalg.inverse(tuple(zip(*cols)))
     return PreprocessedLattice(
         basis=basis,
         cell=cell,
-        frame=tuple(frame),
+        frame=tuple(map(cell.vector, frame)),
         frame_inverse_int=tuple(tuple(basis.den * k for k in row) for row in inv),
         frame_den=frame_den,
         frame_sum_sq=Fraction(sum(linalg.dot_int(c, c) for c in cols), basis.den**2),

@@ -5,20 +5,22 @@ unique minimum-norm elements of the coset v + 2L.  The cell itself is the
 intersection of the halfspaces <x, v> <= <v, v>/2 over relevant v, which
 makes membership and the cell norm exactly decidable for rational input.
 
-Hot paths (membership, norm) run on integer-scaled copies of the data:
-with v = v_int / D (D the basis's common denominator) and x = x_int / Dx,
-the facet inequality becomes 2 D <v_int, x_int> <= <v_int, v_int> Dx, a
-pure integer predicate, scanned as one int64 matrix product wherever the
-O(n) bound of `VoronoiCellData.scan` proves it exact.
+The cell keeps integer coefficient rows a and, from one matrix product, the
+images V = den B a (den the basis's denominator).  With x = x_int / dx the
+facet inequality is 2 den <V, x_int> <= <V, V> dx, a pure integer predicate,
+scanned as one int64 product wherever `VoronoiCellData.scan` proves it exact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
+from operator import neg
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,47 +43,68 @@ from .oracles import DEFAULT_NODE_CAP, _class_minima, _integer_gram, _integer_le
 class VoronoiCellData:
     """Preprocessing advice: the relevant vectors, which alone fix the cell.
 
-    `vectors` is closed under negation and deterministically ordered
-    (cosets in lexicographic order; within a coset the representative whose
-    leading nonzero coefficient is positive comes first).  Derived from it:
-    `lambda1_sq` = min ||v||^2 (so r^2 = lambda1_sq / 4 gives r B_2 inside
-    the cell) and `outer_radius_sq` = R^2 = (n/4) max ||v||^2 (cell inside
-    R B_2).
+    `coeffs` holds their integer coefficient rows, closed under negation and
+    deterministically ordered (cosets in lexicographic order; within a coset
+    the representative whose leading nonzero coefficient is positive comes
+    first).  `vector(i)` reads row i as a `LatticePoint`, built on first read.
+    Derived from the rows: `lambda1_sq` = min ||v||^2 (so r^2 = lambda1_sq / 4
+    gives r B_2 inside the cell) and `outer_radius_sq` = R^2 = (n/4) max
+    ||v||^2 (cell inside R B_2).
     """
 
     basis: LatticeBasis
-    vectors: tuple[LatticePoint, ...]
+    coeffs: tuple[tuple[int, ...], ...]
     lambda1_sq: Fraction = field(init=False)
     outer_radius_sq: Fraction = field(init=False)
-
-    # the images basis.den * v of the relevant vectors, and their squared norms
-    _vr_int: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False, default=())
-    _norm_int: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
-    # the same as int64 arrays, None if a norm does not fit; bounds: >= every |v|_1, max norm
-    _vr_np: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
-    _norm_np: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
-    _bounds: tuple[int, int] = field(init=False, repr=False, compare=False, default=(0, 0))
+    # __post_init__ also sets, outside the fields: the images `_vr_int` and norms `_norm_int`;
+    # the same as int64 arrays `_vr_np` / `_norm_np`, None if a norm does not fit; `_bounds`
+    # (>= every |V|_1, max norm); `_points[i]`, vector(i) once read, else None: a hot loop
+    # reads `_points[i] or vector(i)`.
 
     def __post_init__(self):
-        den = self.basis.den
-        vr_int = tuple(v.image_on(self.basis) for v in self.vectors)
-        norm_int = tuple(linalg.dot_int(w, w) for w in vr_int)
-        if not norm_int:
-            raise ContractViolation("a Voronoi cell needs relevant vectors")
-        object.__setattr__(self, "lambda1_sq", Fraction(min(norm_int), den * den))
-        object.__setattr__(
-            self, "outer_radius_sq", Fraction(self.n * max(norm_int), 4 * den * den)
+        basis, rows, n = self.basis, self.coeffs, self.basis.n
+        if not rows or set(map(len, rows)) != {n}:
+            raise ContractViolation(f"a Voronoi cell needs relevant vectors as rows of length {n}")
+        # |V_i| <= top = n max|den B| max|a| per entry, and <V, V> <= n top^2
+        try:
+            a = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * n).reshape(-1, n)
+            top = n * max(map(abs, chain.from_iterable(basis.rows_int)))
+            top *= max(int(a.max()), -int(a.min()))
+        except OverflowError:  # a coefficient past int64
+            top = 1 << 63
+        if n * top * top >= 1 << 63:  # int64 is not proven exact: Python integers
+            a = np.array(rows, dtype=object)
+        vr = a @ np.array(basis.rows_int, dtype=a.dtype).T
+        norm = (vr * vr).sum(axis=1)
+        norm_int = tuple(norm.tolist())
+        den, norm_max = basis.den, max(norm_int)
+        fits = norm_max < 1 << 63  # a norm bounds the square of each entry
+        vars(self).update(  # frozen: write the derived attributes directly
+            lambda1_sq=Fraction(min(norm_int), den * den),
+            outer_radius_sq=Fraction(n * norm_max, 4 * den * den),
+            _vr_int=tuple(map(tuple, vr.tolist())),
+            _norm_int=norm_int,
+            _vr_np=vr.astype(np.int64) if fits else None,
+            _norm_np=norm.astype(np.int64) if fits else None,
+            _bounds=(isqrt(n * norm_max) + 1, norm_max),
+            _points=[None] * len(rows),
         )
-        object.__setattr__(self, "_vr_int", vr_int)
-        object.__setattr__(self, "_norm_int", norm_int)
-        object.__setattr__(self, "_bounds", (isqrt(self.n * max(norm_int)) + 1, max(norm_int)))
-        if max(norm_int) < 1 << 63:  # a norm bounds the square of each entry
-            object.__setattr__(self, "_vr_np", np.array(vr_int, dtype=np.int64))
-            object.__setattr__(self, "_norm_np", np.array(norm_int, dtype=np.int64))
 
     @property
     def n(self) -> int:
         return self.basis.n
+
+    def vector(self, i: int) -> LatticePoint:
+        """Relevant vector i, built from its row and image on first read; no dot product."""
+        p = self._points[i]
+        if p is None:
+            p = self._points[i] = LatticePoint(self.coeffs[i], self._vr_int[i], self.basis)
+        return p
+
+    @property
+    def vectors(self) -> tuple[LatticePoint, ...]:
+        """Every relevant vector as a `LatticePoint`, in cell order."""
+        return tuple(map(self.vector, range(len(self.coeffs))))
 
     def scan(self, x: Sequence[int], c1: int, c2: int, rows: Optional[np.ndarray] = None):
         """c1 <v, x> + c2 <v, v> over the relevant images v (or `rows`) as one int64 product, or
@@ -136,16 +159,15 @@ def compute_relevant_vectors(
         if radius >= trace:
             raise ContractViolation("a coset of 2L misses the covering ball")
         radius = min(trace, -(-radius * (n + 1) // n))
-    out: list[LatticePoint] = []
+    out: list[tuple[int, ...]] = []
     for p in reps:
         _, found = minima[sum(bit << k for k, bit in enumerate(p))]
         if len(found) != 1:
             continue  # two or more +- pairs tie: no facet from this coset
-        v = LatticePoint.from_coeffs(basis, found[0])
-        w = LatticePoint(tuple(-x for x in v.coeffs), tuple(-x for x in v.image), basis)
-        lead = next(x for x in v.coeffs if x)
-        out.extend((v, w) if lead > 0 else (w, v))
-    return VoronoiCellData(basis=basis, vectors=tuple(out))
+        v = found[0]
+        w = tuple(map(neg, v))
+        out.extend((v, w) if next(x for x in v if x) > 0 else (w, v))
+    return VoronoiCellData(basis=basis, coeffs=tuple(out))
 
 
 def voronoi_norm(cell: VoronoiCellData, x: Sequence[Fraction]) -> Fraction:
@@ -179,7 +201,7 @@ def cell_to_obj(cell: VoronoiCellData) -> dict:
     obj = {
         "basis_hash": basis_hash(cell.basis),
         "n": cell.n,
-        "vr": [[str(c) for c in v.coeffs] for v in cell.vectors],
+        "vr": [[str(c) for c in a] for a in cell.coeffs],
     }
     obj["checksum"] = _checksum(obj)
     return obj
@@ -191,11 +213,24 @@ def save_cell(cell: VoronoiCellData, path) -> None:
         f.write("\n")
 
 
-def _json_int(value) -> int:
-    # a coefficient as `cell_to_obj` writes it (str(int)) or a JSON integer; not 1.0, True, " 1 "
-    if str(value) != str(int(value)):
-        raise TypeError(f"expected an integer entry, got {json.dumps(value)}")
-    return int(value)
+#: `cell_to_obj`'s entries joined by commas: canonical decimals, the s with str(int(s)) == s
+_CANONICAL_INTS = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*")
+
+
+def _json_ints(values: list) -> list[int]:
+    """The entries' integers in one pass: joined, canonical strings read as one JSON list (an
+    entry holding a comma would read as two).  Any other list goes entry by entry and raises at
+    the first entry that is neither str of an integer nor a JSON integer (1.0, True, " 1 ")."""
+    try:
+        text = ",".join(values)
+        if _CANONICAL_INTS.fullmatch(text) and len(ints := json.loads(f"[{text}]")) == len(values):
+            return ints
+    except (TypeError, ValueError):  # a non-string entry; an integer past the digit limit
+        pass
+    for value in values:
+        if str(value) != str(int(value)):
+            raise TypeError(f"expected an integer entry, got {json.dumps(value)}")
+    return list(map(int, values))
 
 
 def cell_from_obj(obj: dict, basis: LatticeBasis) -> VoronoiCellData:
@@ -211,28 +246,25 @@ def cell_from_obj(obj: dict, basis: LatticeBasis) -> VoronoiCellData:
         cached_hash = obj["basis_hash"]
         n = obj["n"]
         rows = [_json_list(r, "vr row") for r in _json_list(obj["vr"], "vr")]
-        vr_coeffs = [tuple(map(_json_int, r)) for r in rows]
-    except (KeyError, TypeError, ValueError) as e:
+        ints = _json_ints(list(chain.from_iterable(rows)))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"malformed relevant-vector cache: {e}") from None
     if cached_hash != basis_hash(basis):
         raise InputError("relevant-vector cache does not match this basis")
     if type(n) is not int or n != basis.n:  # booleans are not integers
         raise InputError(f"relevant-vector cache has dimension {json.dumps(n)}, not {basis.n}")
-    if not vr_coeffs or len(vr_coeffs) > 2 * (2**n - 1):
+    if not rows or len(rows) > 2 * (2**n - 1):
         raise InputError("relevant-vector cache has implausible size")
-    if any(len(c) != n for c in vr_coeffs):
+    if set(map(len, rows)) != {n}:
         raise InputError("relevant-vector cache has a row of the wrong length")
-    seen = set(vr_coeffs)
-    if any(tuple(-c for c in v) not in seen for v in vr_coeffs):
+    coeffs = tuple(zip(*[iter(ints)] * n))
+    if not set(zip(*[map(neg, ints)] * n)) <= set(coeffs):
         raise InputError("relevant-vector cache is not closed under negation")
-    if not all(any(c) for c in vr_coeffs):
+    if not all(map(any, coeffs)):
         raise InputError("relevant-vector cache contains the zero vector")
     if obj.get("checksum") != _checksum(obj):
         raise InputError("relevant-vector cache checksum is missing or wrong")
-    return VoronoiCellData(
-        basis=basis,
-        vectors=tuple(LatticePoint.from_coeffs(basis, c) for c in vr_coeffs),
-    )
+    return VoronoiCellData(basis=basis, coeffs=coeffs)
 
 
 def load_cell(path, basis: LatticeBasis) -> VoronoiCellData:

@@ -292,7 +292,7 @@ def relevant_vectors_by_coset(basis, dim_cap=DEFAULT_DIM_CAP):
             raise ContractViolation("coset minimizers are not a +- pair")
         lead = next(x for x in v1.coeffs if x)
         out.extend((v1, v2) if lead > 0 else (v2, v1))
-    return VoronoiCellData(basis=basis, vectors=tuple(out))
+    return VoronoiCellData(basis=basis, coeffs=tuple(v.coeffs for v in out))
 
 
 @pytest.fixture(scope="session")

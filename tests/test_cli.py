@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from voronoi_cvp import experiments
+from voronoi_cvp import LatticePoint, experiments
 from voronoi_cvp.cli import main
-from voronoi_cvp.voronoi import _checksum
+from voronoi_cvp.lattice import read_basis
+from voronoi_cvp.voronoi import _checksum, load_cell
 
 
 def run_cli(capsys, *argv):
@@ -604,3 +605,31 @@ def test_negative_rational_flag_values(tmp_path, capsys):
     assert code == 0
     rows = strip_wall_clock(out)
     assert rows[0]["target"] == "-3/2,1/3" and rows[0]["start"] == "-1,0"
+
+
+def test_warm_solve_builds_only_the_points_it_reads(tmp_path, capsys, monkeypatch):
+    # a cached n = 6 cell holds 126 relevant vectors; a solve builds the frame's 6 points
+    # and one per edge it takes, each from its stored row
+    path = tmp_path / "b6.json"
+    assert main(["gen", "--kind", "random-rational", "-n", "6", "--seed", "3", "--out", str(path)]) == 0
+    assert main(["preprocess", str(path)]) == 0
+    capsys.readouterr()
+    rows = {v.coeffs for v in load_cell(str(path) + ".vr.json", read_basis(path)).vectors}
+    assert len(rows) == 126
+    built = []
+    init = LatticePoint.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.coeffs in rows:
+            built.append(self.coeffs)
+
+    monkeypatch.setattr(LatticePoint, "__init__", spy)
+    for strategy in experiments.STRATEGIES:
+        built.clear()
+        code, out, _ = run_cli(capsys, "solve", str(path), "--target", "7,-6,5,-4,3,-2",
+                               "--strategy", strategy)
+        assert code == 0
+        res = json.loads(out)
+        assert tuple(res["y_coeffs"]) not in rows and res["edges"] > 0
+        assert len(built) <= 6 + res["edges"]

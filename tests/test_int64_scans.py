@@ -30,7 +30,7 @@ from voronoi_cvp import (
     uniform_sample,
     voronoi_norm,
 )
-from voronoi_cvp.navigation import TRUNCATED, slicer_scaled
+from voronoi_cvp.navigation import TRUNCATED, slicer_products
 from voronoi_cvp.sampling import CellSample, stream_for
 
 from conftest import A2_PLUS_LINE, D4, make_rng, reference_scan, scaled_basis
@@ -92,7 +92,7 @@ def test_membership_and_norm_match_the_python_path(cells, monkeypatch):
 
 def slicer_path(cell, t_int, dt, z):
     path = []
-    y, steps = slicer_scaled(cell, t_int, dt, z, path.append)
+    y, steps, _ = slicer_products(cell, t_int, dt, z, path.append)
     return y, steps, [p.coeffs for p in path]
 
 

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -131,6 +133,34 @@ def test_ball_search_matches_per_coset_reference(skew2_cell, rand_lattices, high
         assert [v.ambient for v in cell.vectors] == [v.ambient for v in expected.vectors]
 
 
+def cell_arrays(cell):
+    return (
+        cell.coeffs, cell._vr_int, cell._norm_int,
+        *(None if a is None else (a.dtype, a.tolist()) for a in (cell._vr_np, cell._norm_np)),
+    )
+
+
+def test_cell_builders_agree(rand_lattices):
+    # the ball search, the cache round trip and the per-coset reference build the same
+    # rows, images and norms, and the images are den B a computed row by row
+    rng = make_rng(30)
+    bases = [random_rational_basis(n, rng) for n in range(2, 8)]
+    # past the int64 product's bound (n = 4): norms that still fit int64, and images that do not
+    small = compute_relevant_vectors(rand_lattices[3][0])
+    mid = scaled_basis(small.basis, isqrt((2**63 - 1) // max(small._norm_int)))
+    top = 4 * max(abs(x) for r in mid.rows_int for x in r) * max(max(r) for r in small.coeffs)
+    assert 4 * top * top >= 2**63
+    bases += [mid, scaled_basis(small.basis, 2**64)]
+    for basis in bases:
+        cell = compute_relevant_vectors(basis)
+        loaded = cell_from_obj(cell_to_obj(cell), basis)
+        expected = relevant_vectors_by_coset(basis)
+        assert cell == loaded == expected
+        assert cell_arrays(cell) == cell_arrays(loaded) == cell_arrays(expected)
+        assert cell._vr_int == tuple(LatticePoint.from_coeffs(basis, a).image for a in cell.coeffs)
+        assert (cell._vr_np is None) == (max(cell._norm_int) >= 2**63) == (basis is bases[-1])
+
+
 def test_ball_search_caps(monkeypatch):
     monkeypatch.setattr(voronoi, "DEFAULT_NODE_CAP", 3)
     with pytest.raises(SizeCapError):
@@ -250,22 +280,37 @@ def test_cache_rejects_row_of_wrong_length(skew2_basis, skew2_cell):
         cell_from_obj(obj, skew2_basis)
 
 
-def test_cell_rejects_points_of_another_basis(skew2_basis, skew2_cell):
-    doubled = scaled_basis(skew2_basis, 2)
-    foreign = tuple(LatticePoint.from_coeffs(doubled, v.coeffs) for v in skew2_cell.vectors)
-    with pytest.raises(ContractViolation, match="another basis"):
-        VoronoiCellData(basis=skew2_basis, vectors=foreign)
-    # points of an equal basis built again are accepted
+def test_cell_rejects_rows_of_another_dimension(skew2_basis, skew2_cell):
+    # a coefficient row carries no basis; only its length can betray another lattice
+    with pytest.raises(ContractViolation, match="length 2"):
+        VoronoiCellData(basis=skew2_basis, coeffs=((1, 0, 0), (-1, 0, 0)))
+    # the rows on an equal basis built again give the same images
     again = LatticeBasis.from_rows([[2, 1], [0, 1]])
-    same = tuple(LatticePoint.from_coeffs(again, v.coeffs) for v in skew2_cell.vectors)
-    assert VoronoiCellData(basis=skew2_basis, vectors=same)._vr_int == skew2_cell._vr_int
+    assert VoronoiCellData(basis=again, coeffs=skew2_cell.coeffs)._vr_int == skew2_cell._vr_int
+
+
+def reference_json_int(value) -> int:
+    """The per-entry cache rule that the one-pass check replaces."""
+    if str(value) != str(int(value)):
+        raise TypeError(f"expected an integer entry, got {json.dumps(value)}")
+    return int(value)
+
+
+def entry_outcome(check, values):
+    try:
+        return list(map(check, values)) if check is reference_json_int else check(values)
+    except (TypeError, ValueError, OverflowError) as e:
+        return type(e), str(e)
 
 
 @pytest.mark.parametrize(
     "field, bad",
     [("vr", 1.7), ("vr", 1.0), ("vr", True), ("vr", " 1 "), ("vr", "+1"), ("vr", "1.0"),
      ("vr", "01"), ("vr", None), ("vr", [1]), ("row", "10"), ("row", {"0": 1}),
-     ("n", 2.9), ("n", 2.0), ("n", "2"), ("n", True)],
+     ("n", 2.9), ("n", 2.0), ("n", "2"), ("n", True),
+     ("vr", "1_0"), ("vr", "-0"), ("vr", "\u0663"), ("vr", "0x1"), ("vr", " -1"),
+     ("vr", "1,0"), ("vr", float("inf")), ("vr", "9" * 5000),
+     ("pair", "1" + "0" * 29), ("pair", 10**30)],
 )
 def test_cache_accepts_only_what_the_writer_writes(skew2_basis, skew2_cell, field, bad):
     # the checksum is recomputed around each bad value, so only the entry check can object
@@ -274,6 +319,12 @@ def test_cache_accepts_only_what_the_writer_writes(skew2_basis, skew2_cell, fiel
     obj["vr"][i][k] = 1  # a JSON integer is fine
     obj["checksum"] = voronoi._checksum(obj)
     assert cell_from_obj(obj, skew2_basis) == skew2_cell
+    if field == "pair":  # a canonical entry past int64, with its negation: accepted
+        j = obj["vr"].index([str(-int(c)) for c in obj["vr"][i]])
+        obj["vr"][i][k], obj["vr"][j][k] = bad, str(-int(bad))
+        obj["checksum"] = voronoi._checksum(obj)
+        assert cell_from_obj(obj, skew2_basis).coeffs[i][k] == int(bad)
+        return
     if field == "vr":
         obj["vr"][i][k] = bad
     elif field == "row":
@@ -281,8 +332,28 @@ def test_cache_accepts_only_what_the_writer_writes(skew2_basis, skew2_cell, fiel
     else:
         obj["n"] = bad
     obj["checksum"] = voronoi._checksum(obj)
-    with pytest.raises(InputError, match="malformed" if field != "n" else "dimension"):
+    with pytest.raises(InputError, match="malformed" if field != "n" else "dimension") as e:
         cell_from_obj(obj, skew2_basis)
+    if field == "vr":  # the message the per-entry rule gives at the same entry
+        _, reason = entry_outcome(reference_json_int, [c for r in obj["vr"] for c in r])
+        assert str(e.value) == f"malformed relevant-vector cache: {reason}"
+
+
+cache_entries = st.one_of(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+    st.text(alphabet="0123456789-+ _,.xe\u0663", max_size=5),
+    st.sampled_from([1.0, True, None, float("inf"), float("nan"), [1], {}, "9" * 5000]),
+)
+
+
+@given(st.lists(cache_entries, max_size=8))
+def test_one_pass_entry_check_matches_the_per_entry_rule(values):
+    # same integers, or the same exception and message at the same first rejected entry
+    got = entry_outcome(voronoi._json_ints, values)
+    assert got == entry_outcome(reference_json_int, values)
+    if not isinstance(got, tuple):
+        assert all(type(x) is int for x in got)
 
 
 def test_lambda1_equals_oracle(skew2_basis, skew2_cell):
