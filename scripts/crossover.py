@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Where the query stands against enumeration, and where its time goes.
 
-For each n, on the basis random_rational_basis(n, PCG64(seed)), prints:
-- preprocess: `compute_relevant_vectors` plus `solver.preprocess` (median)
+For n = 4..10, on the basis random_rational_basis(n, PCG64(1)), prints:
+- preprocess: `compute_relevant_vectors` plus `solver.preprocess` (median
+  of three)
 - query and brute: median ms of `solver.query` and of `cvp_bruteforce` per
   target, and their ratio (above 1: enumeration is faster)
 - the mean split of a query in ms: sample (`uniform_sample`), round
@@ -10,14 +11,14 @@ For each n, on the basis random_rational_basis(n, PCG64(seed)), prints:
   beside it the deterministic line walk (`mv_walk`) from the rounded start,
   which runs on int64 products
 
-Then, for each n in --cli-dims, the mean split of an in-process `solve`
+Then, for n = 6 and 7, the mean split of an in-process `solve`
 on the cache that `preprocess` wrote, alternating the slicer and mv
 strategies: read_basis, load_cell, preprocess, walk
 (`experiments.solve_with_strategy`) and output (the rest of the call:
 argument parsing, the target, the distance and the JSON text).
 
 Example:
-    PYTHONPATH=src python scripts/crossover.py --dims 4 5 6 7 8 9 10 --targets 30
+    PYTHONPATH=src python scripts/crossover.py --targets 30
 """
 
 import argparse
@@ -36,6 +37,11 @@ import numpy as np
 from voronoi_cvp import cli, experiments, lattice, navigation, solver, voronoi
 from voronoi_cvp.oracles import cvp_bruteforce
 from voronoi_cvp.sampling import SamplerConfig
+
+SEED = 1  # the bases are random_rational_basis(n, PCG64(SEED))
+QUERY_DIMS = range(4, 11)
+CLI_DIMS = (6, 7)
+REPEATS = 3  # preprocess timings per dimension
 
 
 @contextlib.contextmanager
@@ -65,14 +71,14 @@ def ms(seconds: float) -> float:
     return round(1e3 * seconds, 4)
 
 
-def query_row(n: int, seed: int, targets: int, repeats: int) -> dict:
-    basis = lattice.random_rational_basis(n, np.random.Generator(np.random.PCG64(seed)))
+def query_row(n: int, targets: int) -> dict:
+    basis = lattice.random_rational_basis(n, np.random.Generator(np.random.PCG64(SEED)))
     setup = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = perf_counter()
         pre = solver.preprocess(basis, cell=voronoi.compute_relevant_vectors(basis))
         setup.append(perf_counter() - t0)
-    rng = np.random.Generator(np.random.PCG64([seed, n]))
+    rng = np.random.Generator(np.random.PCG64([SEED, n]))
     ts = [lattice.random_rational_target(basis, rng) for _ in range(targets)]
     split = defaultdict(float)
     query, brute, line = [], [], []
@@ -81,7 +87,7 @@ def query_row(n: int, seed: int, targets: int, repeats: int) -> dict:
     for i, t in enumerate(ts):
         with timed(split, *sites):
             t0 = perf_counter()
-            res = solver.query(pre, t, SamplerConfig(seed=seed + i))
+            res = solver.query(pre, t, SamplerConfig(seed=SEED + i))
             query.append(perf_counter() - t0)
         t0 = perf_counter()
         ref = cvp_bruteforce(basis, t)
@@ -94,21 +100,21 @@ def query_row(n: int, seed: int, targets: int, repeats: int) -> dict:
         line.append(perf_counter() - t0)
     q, b = statistics.median(query), statistics.median(brute)
     return {
-        "n": n, "vr": len(pre.cell.vectors), "preprocess_ms": ms(statistics.median(setup)),
+        "n": n, "vr": len(pre.cell.coeffs), "preprocess_ms": ms(statistics.median(setup)),
         "query_ms": ms(q), "brute_ms": ms(b), "query_over_brute": round(q / b, 3),
         **{f"{k}_ms": ms(split[k] / targets) for k in ("sample", "round", "walk", "certify")},
         "line_walk_ms": ms(sum(line) / targets),
     }
 
 
-def cli_row(n: int, seed: int, targets: int, workdir: Path) -> dict:
-    basis = lattice.random_rational_basis(n, np.random.Generator(np.random.PCG64(seed)))
+def cli_row(n: int, targets: int, workdir: Path) -> dict:
+    basis = lattice.random_rational_basis(n, np.random.Generator(np.random.PCG64(SEED)))
     path = workdir / f"basis-{n}.json"
     lattice.write_basis(basis, path)
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(["preprocess", str(path)]) != 0:
             raise RuntimeError(f"preprocess {path} failed")
-    rng = np.random.Generator(np.random.PCG64([seed, n]))
+    rng = np.random.Generator(np.random.PCG64([SEED, n]))
     split, total = defaultdict(float), 0.0
     sites = [(lattice, "read_basis", "read_basis"), (voronoi, "load_cell", "load_cell"),
              (solver, "preprocess", "preprocess"),
@@ -138,21 +144,16 @@ def print_table(rows: list[dict]) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--dims", type=int, nargs="+", default=list(range(4, 11)))
-    ap.add_argument("--cli-dims", type=int, nargs="*", default=[6, 7])
     ap.add_argument("--targets", type=int, default=30, help="per dimension")
-    ap.add_argument("--repeats", type=int, default=3, help="preprocess timings per dimension")
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--json", action="store_true", help="also print the rows as one JSON line")
     args = ap.parse_args()
 
-    queries = [query_row(n, args.seed, args.targets, args.repeats) for n in args.dims]
+    queries = [query_row(n, args.targets) for n in QUERY_DIMS]
     print_table(queries)
     with tempfile.TemporaryDirectory() as tmp:
-        solves = [cli_row(n, args.seed, args.targets, Path(tmp)) for n in args.cli_dims]
-    if solves:
-        print()
-        print_table(solves)
+        solves = [cli_row(n, args.targets, Path(tmp)) for n in CLI_DIMS]
+    print()
+    print_table(solves)
     if args.json:
         print(json.dumps({"query": queries, "cli_solve": solves}))
     return 0

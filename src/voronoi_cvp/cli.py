@@ -244,11 +244,11 @@ def _sampler_config(args) -> sampling.SamplerConfig:
     return sampling.SamplerConfig(seed=args.seed, precision_bits=args.precision_bits)
 
 
-def _manifest(args, command: str, params: dict, input_hashes: dict) -> experiments.RunManifest:
+def _manifest(args, command: str, params: dict, basis: LatticeBasis) -> experiments.RunManifest:
     return experiments.RunManifest(
         command=command,
         params=params,
-        input_hashes=input_hashes,
+        input_hashes={"basis": lattice.basis_hash(basis)},
         seed=args.seed,
         precision_bits=args.precision_bits,
     )
@@ -337,7 +337,7 @@ def cmd_gen(args) -> int:
             "max_denominator": args.max_denominator,
             "defect_cap": args.defect_cap,
         },
-        {"basis": lattice.basis_hash(basis)},
+        basis,
     )
     if args.out:
         sys.stdout.write(json.dumps(manifest.to_obj(), indent=1) + "\n")
@@ -352,9 +352,7 @@ def cmd_preprocess(args) -> int:
     wall = time.perf_counter() - t0
     cache = Path(args.out) if args.out else _cache_path(args.basis)
     voronoi.save_cell(cell, cache)
-    manifest = _manifest(
-        args, "preprocess", {"basis": args.basis}, {"basis": lattice.basis_hash(basis)}
-    )
+    manifest = _manifest(args, "preprocess", {"basis": args.basis}, basis)
     n = basis.n
     stats = {
         "n": n,
@@ -383,12 +381,8 @@ def cmd_solve(args) -> int:
     result = experiments.solve_with_strategy(pre, t, args.strategy, cfg)
     (y_int, t_int), d = result.point.scaled_with(basis, t)
     dist_sq = Fraction(sum((ti - yi) ** 2 for yi, ti in zip(y_int, t_int)), d * d)
-    manifest = _manifest(
-        args,
-        "solve",
-        {"strategy": args.strategy, "target": [str(c) for c in t.coords]},
-        {"basis": lattice.basis_hash(basis)},
-    )
+    params = {"strategy": args.strategy, "target": [str(c) for c in t.coords]}
+    manifest = _manifest(args, "solve", params, basis)
     out = {
         "strategy": args.strategy,
         "y_coeffs": list(result.point.coeffs),
@@ -439,7 +433,7 @@ def cmd_crossings(args) -> int:
             "alpha": str(alpha),
             "trials": args.trials,
         },
-        {"basis": lattice.basis_hash(basis)},
+        basis,
     )
     outcomes = experiments.run_crossing_trials(
         cell, x, t, alpha, args.trials, cfg, jobs=args.jobs
@@ -496,12 +490,8 @@ def cmd_graphdist(args) -> int:
     basis = lattice.read_basis(args.basis)
     cell = _load_or_compute_cell(args, basis, args.basis)
     pairs = _parse_pairs(args, basis)
-    manifest = _manifest(
-        args,
-        "graphdist",
-        {"pairs": "%s:%s" % args.pairs, "cap": args.cap},
-        {"basis": lattice.basis_hash(basis)},
-    )
+    params = {"pairs": "%s:%s" % args.pairs, "cap": args.cap}
+    manifest = _manifest(args, "graphdist", params, basis)
     rows = experiments.graph_distance_rows(cell, pairs, args.cap, manifest.stable_hash())
     _emit(args, _rows_to_text(args, experiments.GRAPHDIST_COLUMNS, rows, manifest))
     _write_manifest_sidecar(args, manifest)

@@ -217,30 +217,10 @@ def summarize_crossings(
     )
 
 
-CROSSING_COLUMNS = [
-    "row_type",
-    "trial",
-    "lattice_hash",
-    "n",
-    "target",
-    "start",
-    "strategy",
-    "alpha",
-    "phase_b",
-    "phase_c",
-    "bound_b",
-    "bound_c",
-    "resamples",
-    "seed",
-    "wall_clock",
-    "mean_b",
-    "se_b",
-    "verdict_b",
-    "mean_c",
-    "se_c",
-    "verdict_c",
-    "manifest_hash",
-]
+CROSSING_COLUMNS = (
+    "row_type trial lattice_hash n target start strategy alpha phase_b phase_c bound_b bound_c "
+    "resamples seed wall_clock mean_b se_b verdict_b mean_c se_c verdict_c manifest_hash"
+).split()
 
 
 def crossing_rows(
@@ -310,17 +290,7 @@ def crossing_rows(
 # ---------------------------------------------------------------------------
 # graph distance survey
 
-GRAPHDIST_COLUMNS = [
-    "row_type",
-    "x",
-    "y",
-    "d_graph",
-    "cell_norm",
-    "lower_ok",
-    "upper_ok",
-    "capped",
-    "manifest_hash",
-]
+GRAPHDIST_COLUMNS = "row_type x y d_graph cell_norm lower_ok upper_ok capped manifest_hash".split()
 
 
 def graph_distance_rows(

@@ -155,7 +155,6 @@ def _follow_legs(
     coefficient vector (exit times are then only non-decreasing).
     """
     den, vr, nv, coeff_rows = cell.basis.den, cell._vr_int, cell._norm_int, cell.coeffs
-    points, vector = cell._points, cell.vector
     w_int = list(z.image_on(cell.basis))
     coeffs = list(z.coeffs)
     events: list[CrossingEvent] = []
@@ -185,7 +184,7 @@ def _follow_legs(
                 alpha = Fraction(best_p, scale * best_q)
             if len(best) > 1:
                 if tie_break == "error":
-                    raise TieDetected([vector(i) for i in best], alpha, len(events) - leg_start)
+                    raise TieDetected(list(map(cell.vector, best)), alpha, len(events) - leg_start)
                 best.sort(key=coeff_rows.__getitem__)
             if max_edges is not None and len(events) >= max_edges:
                 w = LatticePoint(tuple(coeffs), tuple(w_int), cell.basis)
@@ -195,7 +194,7 @@ def _follow_legs(
             for i in range(len(w_int)):
                 w_int[i] += v_int[i]
                 coeffs[i] += v_a[i]
-            events.append(CrossingEvent(alpha=alpha, edge=points[e] or vector(e), phase=phase))
+            events.append(CrossingEvent(alpha=alpha, edge=cell.vector(e), phase=phase))
             if len(events) > HARD_STEP_LIMIT:
                 raise ContractViolation("line following exceeded the hard step limit")
     w = LatticePoint(tuple(coeffs), tuple(w_int), cell.basis)

@@ -49,17 +49,15 @@ class VoronoiCellData:
     first).  `vector(i)` reads row i as a `LatticePoint`, built on first read.
     Derived from the rows: `lambda1_sq` = min ||v||^2 (so r^2 = lambda1_sq / 4
     gives r B_2 inside the cell) and `outer_radius_sq` = R^2 = (n/4) max
-    ||v||^2 (cell inside R B_2).
+    ||v||^2 (cell inside R B_2).  `__post_init__` also sets the images
+    `_vr_int`, norms `_norm_int`, their int64 copies (None if a norm does not
+    fit), `_bounds` and the built points `_points` (None until read).
     """
 
     basis: LatticeBasis
     coeffs: tuple[tuple[int, ...], ...]
     lambda1_sq: Fraction = field(init=False)
     outer_radius_sq: Fraction = field(init=False)
-    # __post_init__ also sets, outside the fields: the images `_vr_int` and norms `_norm_int`;
-    # the same as int64 arrays `_vr_np` / `_norm_np`, None if a norm does not fit; `_bounds`
-    # (>= every |V|_1, max norm); `_points[i]`, vector(i) once read, else None: a hot loop
-    # reads `_points[i] or vector(i)`.
 
     def __post_init__(self):
         basis, rows, n = self.basis, self.coeffs, self.basis.n
@@ -218,16 +216,14 @@ _CANONICAL_INTS = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*")
 
 
 def _json_ints(values: list) -> list[int]:
-    """The entries' integers in one pass: joined, canonical strings read as one JSON list (an
-    entry holding a comma would read as two).  Any other list goes entry by entry and raises at
-    the first entry that is neither str of an integer nor a JSON integer (1.0, True, " 1 ")."""
+    """Entries as `cell_to_obj` writes them (str(int)) or JSON integers; not 1.0, True, " 1 ".
+    A written cache passes one regex over its joined entries; any other goes entry by entry."""
     try:
-        text = ",".join(values)
-        if _CANONICAL_INTS.fullmatch(text) and len(ints := json.loads(f"[{text}]")) == len(values):
-            return ints
-    except (TypeError, ValueError):  # a non-string entry; an integer past the digit limit
+        if _CANONICAL_INTS.fullmatch(",".join(values)):
+            return list(map(int, values))
+    except (TypeError, ValueError):  # a non-string entry, a comma in an entry, the digit limit
         pass
-    for value in values:
+    for value in values:  # raises at the first entry that the rule rejects
         if str(value) != str(int(value)):
             raise TypeError(f"expected an integer entry, got {json.dumps(value)}")
     return list(map(int, values))
