@@ -217,10 +217,30 @@ def summarize_crossings(
     )
 
 
-CROSSING_COLUMNS = (
-    "row_type trial lattice_hash n target start strategy alpha phase_b phase_c bound_b bound_c "
-    "resamples seed wall_clock mean_b se_b verdict_b mean_c se_c verdict_c manifest_hash"
-).split()
+CROSSING_COLUMNS = [
+    "row_type",
+    "trial",
+    "lattice_hash",
+    "n",
+    "target",
+    "start",
+    "strategy",
+    "alpha",
+    "phase_b",
+    "phase_c",
+    "bound_b",
+    "bound_c",
+    "resamples",
+    "seed",
+    "wall_clock",
+    "mean_b",
+    "se_b",
+    "verdict_b",
+    "mean_c",
+    "se_c",
+    "verdict_c",
+    "manifest_hash",
+]
 
 
 def crossing_rows(
@@ -290,7 +310,17 @@ def crossing_rows(
 # ---------------------------------------------------------------------------
 # graph distance survey
 
-GRAPHDIST_COLUMNS = "row_type x y d_graph cell_norm lower_ok upper_ok capped manifest_hash".split()
+GRAPHDIST_COLUMNS = [
+    "row_type",
+    "x",
+    "y",
+    "d_graph",
+    "cell_norm",
+    "lower_ok",
+    "upper_ok",
+    "capped",
+    "manifest_hash",
+]
 
 
 def graph_distance_rows(
